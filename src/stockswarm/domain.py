@@ -101,8 +101,15 @@ class Bounds:
             raise ConfigError(f"product bounds inverted: [{self.product_lb}, {self.product_ub}]")
         if self.stock_lb >= self.stock_ub:
             raise ConfigError(f"stock bounds must satisfy lb < ub: [{self.stock_lb}, {self.stock_ub}]")
-        if not (0.0 < self.velocity_fraction):
-            raise ConfigError(f"velocity_fraction must be positive, got {self.velocity_fraction}")
+        if not (0.0 < self.velocity_fraction < math.inf):
+            raise ConfigError(
+                f"velocity_fraction must be positive and finite, got {self.velocity_fraction}"
+            )
+        widest = max(self.stock_ub - self.stock_lb, self.product_ub - self.product_lb)
+        if not math.isfinite(2.0 * self.velocity_fraction * widest):
+            raise ConfigError(
+                f"velocity_fraction {self.velocity_fraction} overflows the velocity limits"
+            )
 
     def contains_product(self, product_id: int) -> bool:
         return self.product_lb <= product_id <= self.product_ub

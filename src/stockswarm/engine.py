@@ -117,6 +117,9 @@ class PsoConfig:
     per_dimension_r: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("c1", "c2", "w_max", "w_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.swarm_size < 2:
             raise ConfigError(f"swarm_size must be at least 2, got {self.swarm_size}")
         if self.max_iterations < 1:
@@ -164,9 +167,10 @@ class OptimizationResult:
 class FitnessEvaluator:
     """Precomputed, reusable fitness function over one store and config.
 
-    Groups the history by product once so a whole swarm evaluates as a few
-    numpy reductions per product.  Pure: no internal state changes after
-    construction, so repeated calls on equal positions are bit-identical.
+    Reads the store's per-product index and adds each record's lead-time
+    sum, so a whole swarm evaluates as a few numpy reductions per product.
+    Pure: no internal state changes after construction, so repeated calls
+    on equal positions are bit-identical.
     """
 
     def __init__(self, store: HistoryStore, config: PsoConfig) -> None:
@@ -176,25 +180,24 @@ class FitnessEvaluator:
         self._log = np.log if config.log_base == "natural" else np.log10
         self._total = store.total_periods
         self._dim = dimension(store.topology)
-        # tids, level matrix and per-row lead-time sums, keyed by product.
-        self._groups: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # Per-row lead-time sums, aligned with store.product_rows(pid).
+        self._lead_sums: dict[int, np.ndarray] = {}
         for pid in store.products:
-            rows = [r for r in store.records if r.product_id == pid]
-            tids = [r.tid for r in rows]
-            matrix = np.array([r.levels for r in rows], dtype=np.int64)
+            tids, _ = store.product_rows(pid)
             sums = np.array(
-                [store.stock_lead_time_total([t]) for t in tids], dtype=np.int64
+                [store.stock_lead_time_total((t,)) for t in tids.tolist()], dtype=np.int64
             )
-            self._groups[pid] = (np.array(tids, dtype=np.int64), matrix, sums)
-        self._raw_total: dict[int, int] = {}
-        for row in store.raw_records:
-            self._raw_total[row.product_id] = (
-                self._raw_total.get(row.product_id, 0) + row.time
-            )
+            sums.flags.writeable = False
+            self._lead_sums[pid] = sums
 
     @property
     def weights(self) -> Weights:
         return self._weights
+
+    def lead_sums(self, product_id: int) -> np.ndarray:
+        """Read-only lead-time sum of each record of a product on record,
+        in the row order of ``store.product_rows``."""
+        return self._lead_sums[int(product_id)]
 
     def components(self, position: Sequence[float]) -> tuple[int, int, int, int]:
         """Rounded product id, P(occ), t_stock and t_raw for one position."""
@@ -206,22 +209,32 @@ class FitnessEvaluator:
         pid = int(rounded[0])
         match = self._store.match_individual(pid, rounded[1:], self._radius)
         t_stock = self._store.stock_lead_time_total(match.tids)
-        if pid not in self._raw_total:
-            raise MissingRawMaterial(f"product {pid} has no raw-material rows")
-        return pid, match.occurrences, t_stock, self._raw_total[pid]
+        return pid, match.occurrences, t_stock, self._store.raw_lead_time_total(pid)
 
-    def evaluate(self, position: Sequence[float]) -> float:
-        _, occ, t_stock, t_raw = self.components(position)
+    def score(self, pids: np.ndarray, occ: np.ndarray, t_stock: np.ndarray) -> np.ndarray:
+        """Fitness of rounded positions whose matches are already counted.
+
+        Per position: the product id, P(occ) and the summed lead time of the
+        matched records.  A non-positive log argument raises for the first
+        position that has one.
+        """
+        keys, inverse = np.unique(pids, return_inverse=True)
+        t_raw = np.array(
+            [self._store.raw_lead_time_total(k) for k in keys.tolist()], dtype=np.int64
+        )[inverse]
         w = self._weights
         argument = w.w2 * t_stock + w.w3 * t_raw
-        if argument <= 0.0:
+        bad = np.flatnonzero(argument <= 0.0)
+        if bad.size:
             raise LogDomainError(
-                f"fitness log argument {argument} is not positive; "
+                f"fitness log argument {float(argument[bad[0]])} is not positive; "
                 "degenerate priorities or zero lead times"
             )
-        return float(
-            w.w1 * (1.0 - occ / self._total) + self._log(argument)
-        )
+        return w.w1 * (1.0 - occ / self._total) + self._log(argument)
+
+    def evaluate(self, position: Sequence[float]) -> float:
+        pid, occ, t_stock, _ = self.components(position)
+        return float(self.score(np.array([pid]), np.array([occ]), np.array([t_stock]))[0])
 
     def evaluate_batch(self, positions: np.ndarray) -> np.ndarray:
         """Fitness of each row of an (n, d) position matrix."""
@@ -231,31 +244,19 @@ class FitnessEvaluator:
         n = positions.shape[0]
         occ = np.zeros(n, dtype=np.int64)
         t_stock = np.zeros(n, dtype=np.int64)
-        t_raw = np.zeros(n, dtype=np.int64)
         for pid in np.unique(pids):
-            mask = pids == pid
-            pid = int(pid)
-            if pid not in self._raw_total:
-                raise MissingRawMaterial(f"product {pid} has no raw-material rows")
-            t_raw[mask] = self._raw_total[pid]
-            group = self._groups.get(pid)
-            if group is None:
+            rows = self._store.product_rows(pid)
+            if rows is None:
                 continue
-            _, matrix, sums = group
+            mask = pids == pid
+            _, matrix = rows
             # (queries, records, members) absolute box test per dimension.
             hits = (
                 np.abs(matrix[None, :, :] - levels[mask][:, None, :]) <= self._radius
             ).all(axis=2)
             occ[mask] = hits.sum(axis=1)
-            t_stock[mask] = hits @ sums
-        w = self._weights
-        argument = w.w2 * t_stock + w.w3 * t_raw
-        if np.any(argument <= 0.0):
-            raise LogDomainError(
-                "fitness log argument is not positive for at least one position; "
-                "degenerate priorities or zero lead times"
-            )
-        return w.w1 * (1.0 - occ / self._total) + self._log(argument)
+            t_stock[mask] = hits @ self.lead_sums(pid)
+        return self.score(pids, occ, t_stock)
 
 
 def evaluate(store: HistoryStore, config: PsoConfig, position: Sequence[float]) -> float:
@@ -396,18 +397,17 @@ def _check_log_domain(store: HistoryStore, config: PsoConfig) -> None:
     rows and a positive worst-case argument w3 * t_raw up front.
     """
     weights = weights_from_priorities(config.priorities)
-    raw_total: dict[int, int] = {}
-    for row in store.raw_records:
-        raw_total[row.product_id] = raw_total.get(row.product_id, 0) + row.time
     for pid in range(config.bounds.product_lb, config.bounds.product_ub + 1):
-        if pid not in raw_total:
+        try:
+            t_raw = store.raw_lead_time_total(pid)
+        except MissingRawMaterial:
             raise MissingRawMaterial(
                 f"product {pid} is inside the product bounds but has no raw-material rows"
-            )
-        if weights.w3 * raw_total[pid] <= 0.0:
+            ) from None
+        if weights.w3 * t_raw <= 0.0:
             raise LogDomainError(
                 f"product {pid} can reach a zero fitness log argument "
-                f"(w3 * t_raw = {weights.w3 * raw_total[pid]}); "
+                f"(w3 * t_raw = {weights.w3 * t_raw}); "
                 "raise r3 or the raw-material lead times"
             )
 

@@ -158,6 +158,7 @@ class HistoryStore:
             rows = [r for r in records if r.product_id == pid]
             tids = np.array([r.tid for r in rows], dtype=np.int64)
             levels = np.array([r.levels for r in rows], dtype=np.int64)
+            tids.flags.writeable = levels.flags.writeable = False
             self._by_product[pid] = (tids, levels)
 
     @classmethod
@@ -202,6 +203,11 @@ class HistoryStore:
     def products(self) -> tuple[int, ...]:
         """Product ids that occur in the history, ascending."""
         return tuple(sorted(self._by_product))
+
+    def product_rows(self, product_id: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Read-only TIDs and (rows, members) level matrix of one product's
+        records in ascending TID order, or None when it has no records."""
+        return self._by_product.get(int(product_id))
 
     def match_individual(
         self, product_id: int, levels: Sequence[int], radius: int

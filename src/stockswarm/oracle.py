@@ -21,6 +21,11 @@ from .history import HistoryStore
 
 __all__ = ["OracleResult", "empty_match_candidate", "enumerate_candidates", "oracle_minimum"]
 
+# Candidates per evaluate_batch call at radius > 0: about one default swarm,
+# so the batch kernel's (queries, rows, members) broadcast stays as large as
+# in an optimize run.
+BATCH_SIZE = 32
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -48,11 +53,11 @@ def empty_match_candidate(
     l = store.topology.member_count
     lb, ub = config.bounds.stock_lb, config.bounds.stock_ub
     radius = config.match_radius
-    rows = [r for r in store.records if r.product_id == product_id]
+    rows = store.product_rows(product_id)
     filler = min(max(0, lb), ub)
-    if not rows:
+    if rows is None:
         return (product_id,) + (filler,) * l
-    matrix = np.array([r.levels for r in rows], dtype=np.int64)
+    _, matrix = rows
     for dim in range(l):
         values = np.unique(matrix[:, dim])
         chosen: int | None = None
@@ -96,24 +101,62 @@ def enumerate_candidates(
     return candidates, tuple(skipped)
 
 
-def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
-    """Evaluate every candidate and return the minimum.
+def _exact_match_fitness(
+    store: HistoryStore, evaluator: FitnessEvaluator, candidates: list[tuple[int, ...]]
+) -> np.ndarray:
+    """Fitness of every candidate at radius 0, from one sort per product.
 
-    Ties keep the earliest candidate, so the result is deterministic and
-    independent of any seed.
+    At radius 0 a record's own vector matches exactly the records of its
+    product with equal levels, so grouping equal level rows gives every
+    record's P(occ) and matched lead time at once.  The empty-match vectors
+    after the records match nothing.
+    """
+    tids, occ, t_stock = [], [], []
+    for pid in store.products:
+        group_tids, levels = store.product_rows(pid)
+        _, inverse, counts = np.unique(
+            levels, axis=0, return_inverse=True, return_counts=True
+        )
+        inverse = inverse.reshape(-1)
+        lead = np.zeros(counts.size, dtype=np.int64)
+        np.add.at(lead, inverse, evaluator.lead_sums(pid))
+        tids.append(group_tids)
+        occ.append(counts[inverse])
+        t_stock.append(lead[inverse])
+    in_tid_order = np.argsort(np.concatenate(tids))
+    empties = np.zeros(len(candidates) - store.total_periods, dtype=np.int64)
+    return evaluator.score(
+        np.array([c[0] for c in candidates], dtype=np.int64),
+        np.concatenate([np.concatenate(occ)[in_tid_order], empties]),
+        np.concatenate([np.concatenate(t_stock)[in_tid_order], empties]),
+    )
+
+
+def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
+    """Score every candidate and return the minimum.
+
+    Radius 0 scores all candidates from one sort per product; a larger
+    radius scores them ``BATCH_SIZE`` at a time with ``evaluate_batch``,
+    which is still quadratic in the history length.  Ties keep the earliest
+    candidate, so the result is deterministic and independent of any seed.
     """
     _check_log_domain(store, config)
     evaluator = FitnessEvaluator(store, config)
     candidates, skipped = enumerate_candidates(store, config)
-    best_position = candidates[0]
-    best_fitness = evaluator.evaluate(np.asarray(best_position, dtype=np.float64))
-    for candidate in candidates[1:]:
-        fitness = evaluator.evaluate(np.asarray(candidate, dtype=np.float64))
-        if fitness < best_fitness:
-            best_position, best_fitness = candidate, fitness
+    if config.match_radius == 0:
+        fitness = _exact_match_fitness(store, evaluator, candidates)
+    else:
+        positions = np.array(candidates, dtype=np.float64)
+        fitness = np.concatenate(
+            [
+                evaluator.evaluate_batch(positions[i : i + BATCH_SIZE])
+                for i in range(0, len(positions), BATCH_SIZE)
+            ]
+        )
+    best = int(np.argmin(fitness))  # argmin takes the earliest on ties
     return OracleResult(
-        best_position=tuple(int(v) for v in best_position),
-        best_fitness=float(best_fitness),
+        best_position=tuple(int(v) for v in candidates[best]),
+        best_fitness=float(fitness[best]),
         evaluations=len(candidates),
         skipped_products=skipped,
     )

@@ -146,6 +146,21 @@ class TestOptimizeCommand:
         assert code == 3
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["c1 = nan", "w_max = inf", "velocity_fraction = inf", "velocity_fraction = 1e308", "r1 = inf"],
+    )
+    def test_non_finite_setting_exit_3(self, tmp_path, capsys, setting):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(setting + "\n")
+        code = main(["optimize", "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert setting.split()[0] in err
+        assert "Traceback" not in err
+
     def test_trace_bounded_by_max_iterations(self, tmp_path, capsys):
         conf = tmp_path / "short.conf"
         conf.write_text("max_iterations = 8\nmatch_radius = 0\n")

@@ -86,6 +86,11 @@ class TestBounds:
         with pytest.raises(ConfigError):
             ss.Bounds(velocity_fraction=0.0)
 
+    @pytest.mark.parametrize("fraction", [float("inf"), float("nan"), 1e308])
+    def test_rejects_velocity_fraction_without_finite_limits(self, fraction):
+        with pytest.raises(ConfigError, match="velocity_fraction"):
+            ss.Bounds(velocity_fraction=fraction)
+
 
 class TestWeights:
     def test_reference_priorities_are_exact(self):

@@ -53,6 +53,11 @@ class TestPsoConfigValidation:
             {"stall_window": -1},
             {"seed": -1},
             {"seed": 2**64},
+            {"c1": float("nan")},
+            {"c2": float("inf")},
+            {"w_max": float("inf")},
+            {"w_min": float("nan")},
+            {"w_min": float("-inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,8 +1,126 @@
 """Enumeration baseline: candidate set, minimum, lower-bound property."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stockswarm as ss
+from stockswarm import oracle
+
+
+def reference_oracle(store, config):
+    """The per-candidate loop the grouped oracle replaced: one ``evaluate``
+    call, and so one scan of the product's records, per candidate."""
+    evaluator = ss.FitnessEvaluator(store, config)
+    candidates, skipped = ss.enumerate_candidates(store, config)
+    best_position = candidates[0]
+    best_fitness = evaluator.evaluate(np.asarray(best_position, dtype=np.float64))
+    for candidate in candidates[1:]:
+        fitness = evaluator.evaluate(np.asarray(candidate, dtype=np.float64))
+        if fitness < best_fitness:
+            best_position, best_fitness = candidate, fitness
+    return ss.OracleResult(
+        best_position=tuple(int(v) for v in best_position),
+        best_fitness=float(best_fitness),
+        evaluations=len(candidates),
+        skipped_products=skipped,
+    )
+
+
+SMALL_TOPOLOGY = ss.Topology(dc_count=1, agents_per_dc=(1,))
+SMALL_BOUNDS = dict(product_lb=1, stock_lb=-3, stock_ub=3)
+
+
+@st.composite
+def small_stores(draw):
+    """A 3-member store over a tight level range, with forced duplicate rows.
+
+    Products 1..4 may occur; rows are repeated verbatim and then shuffled
+    across TIDs, so equal level rows interleave with other products.
+    """
+    levels = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3)
+    rows = draw(
+        st.lists(st.tuples(st.integers(min_value=1, max_value=4), levels), min_size=1, max_size=10)
+    )
+    repeats = draw(st.lists(st.integers(min_value=0, max_value=len(rows) - 1), max_size=10))
+    rows = draw(st.permutations(rows + [rows[i] for i in repeats]))
+    history = [(tid, pid, lv) for tid, (pid, lv) in enumerate(rows, start=1)]
+    links = st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
+    leads = [(tid, draw(links)) for tid, _, _ in history]
+    raws = [(pid, 1, draw(st.integers(min_value=1, max_value=40))) for pid in range(1, 5)]
+    return ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, raws)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("radius", [0, 1, 10**6])
+    @given(
+        store=small_stores(),
+        product_ub=st.integers(min_value=1, max_value=4),
+        priorities=st.sampled_from([(10.0, 5.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 3.0)]),
+        log_base=st.sampled_from(["natural", "base10"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_candidate_loop(self, radius, store, product_ub, priorities, log_base):
+        cfg = ss.PsoConfig(
+            match_radius=radius,
+            bounds=ss.Bounds(product_ub=product_ub, **SMALL_BOUNDS),
+            priorities=ss.PriorityConfig(*priorities),
+            log_base=log_base,
+        )
+        got = ss.oracle_minimum(store, cfg)
+        want = reference_oracle(store, cfg)
+        assert got == want
+        assert got.best_fitness.hex() == want.best_fitness.hex()
+
+    @given(store=small_stores(), product_ub=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_fitness_bitwise_per_candidate(self, store, product_ub):
+        cfg = ss.PsoConfig(match_radius=0, bounds=ss.Bounds(product_ub=product_ub, **SMALL_BOUNDS))
+        evaluator = ss.FitnessEvaluator(store, cfg)
+        candidates, _ = ss.enumerate_candidates(store, cfg)
+        grouped = oracle._exact_match_fitness(store, evaluator, candidates)
+        scanned = [evaluator.evaluate(np.asarray(c, dtype=np.float64)) for c in candidates]
+        assert [float(f).hex() for f in grouped] == [f.hex() for f in scanned]
+
+
+class TestTieRule:
+    def test_earlier_of_two_equal_records_wins(self):
+        # Different levels, one occurrence each and equal lead sums: equal
+        # fitness.  TID 1 is listed second, so TID order, not input order,
+        # decides.
+        history = [(2, 1, (5, 5, 5)), (1, 1, (7, 7, 7))]
+        leads = [(1, (1, 2)), (2, (2, 1))]
+        raws = [(1, 1, 1000)]
+        store = ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, raws)
+        cfg = ss.PsoConfig(
+            match_radius=0, bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-9, stock_ub=9)
+        )
+        evaluator = ss.FitnessEvaluator(store, cfg)
+        assert evaluator.evaluate([1, 5, 5, 5]) == evaluator.evaluate([1, 7, 7, 7])
+        result = ss.oracle_minimum(store, cfg)
+        assert result.best_fitness == evaluator.evaluate([1, 7, 7, 7])
+        assert result.best_position == (1, 7, 7, 7)
+        assert result == reference_oracle(store, cfg)
+
+    def test_record_beats_equal_empty_match_vector(self):
+        # r1 = 0 and zero link times: every candidate of a product scores
+        # log(w3 * t_raw), whatever it matches.  Product 2 has the cheaper
+        # raw materials; its record precedes its empty-match vector.
+        history = [(1, 1, (0, 0, 0)), (2, 2, (4, 4, 4))]
+        leads = [(1, (0, 0)), (2, (0, 0))]
+        raws = [(1, 1, 9), (2, 1, 3)]
+        store = ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, raws)
+        cfg = ss.PsoConfig(
+            match_radius=0,
+            bounds=ss.Bounds(product_lb=1, product_ub=2, stock_lb=-9, stock_ub=9),
+            priorities=ss.PriorityConfig(0.0, 1.0, 1.0),
+        )
+        empty = ss.empty_match_candidate(store, 2, cfg)
+        evaluator = ss.FitnessEvaluator(store, cfg)
+        assert evaluator.evaluate(empty) == evaluator.evaluate([2, 4, 4, 4])
+        result = ss.oracle_minimum(store, cfg)
+        assert result.best_position == (2, 4, 4, 4)
+        assert result == reference_oracle(store, cfg)
 
 
 class TestEmptyMatchCandidate:
