@@ -39,4 +39,4 @@ print(f"raw-material lead time of product {first.product_id}: "
 # frequency term the fitness weighs with w1.
 count = sum(1 for r in store.records if r.product_id == 3)
 print(f"\nproduct 3 occurs in {count}/{store.total_periods} periods "
-      f"(ratio {ss.PeriodCount(store.total_periods, count).occurrence_ratio})")
+      f"(ratio {count / store.total_periods})")

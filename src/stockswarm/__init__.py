@@ -28,7 +28,6 @@ from pathlib import Path
 from . import errors
 from .domain import (
     Bounds,
-    PeriodCount,
     PriorityConfig,
     Topology,
     Weights,
@@ -40,14 +39,12 @@ from .domain import (
 from .engine import (
     FitnessEvaluator,
     OptimizationResult,
-    Particle,
     PsoConfig,
+    draw_swarm,
     evaluate,
     inertia_weight,
-    init_swarm,
+    pso_step,
     run,
-    update_position,
-    update_velocity,
 )
 from .history import (
     HistoryRecord,
@@ -72,7 +69,6 @@ __all__ = [
     "Bounds",
     "PriorityConfig",
     "Weights",
-    "PeriodCount",
     "total_agents",
     "dimension",
     "weights_from_priorities",
@@ -85,15 +81,13 @@ __all__ = [
     "HistoryStore",
     "load_store",
     # engine
-    "Particle",
     "PsoConfig",
     "OptimizationResult",
     "FitnessEvaluator",
-    "init_swarm",
     "evaluate",
     "inertia_weight",
-    "update_velocity",
-    "update_position",
+    "draw_swarm",
+    "pso_step",
     "run",
     # recommend
     "Action",

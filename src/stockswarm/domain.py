@@ -20,22 +20,17 @@ import numpy as np
 from .errors import ConfigError, DegenerateLeadTimeWeights, ZeroPrioritySum
 
 __all__ = [
-    "StockLevel",
     "Topology",
     "Bounds",
     "PriorityConfig",
     "Weights",
-    "PeriodCount",
     "total_agents",
     "dimension",
     "weights_from_priorities",
     "round_half_away_from_zero",
 ]
 
-# A stock level is a plain signed integer (units of one product); the
-# range constraint lives in Bounds.contains_stock, enforcement in the
-# engine's clamping step.
-StockLevel = int
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def total_agents(agents_per_dc: list[int] | tuple[int, ...]) -> int:
@@ -97,6 +92,9 @@ class Bounds:
     velocity_fraction: float = 0.2
 
     def __post_init__(self) -> None:
+        for name in ("product_lb", "product_ub", "stock_lb", "stock_ub"):
+            if not INT64_MIN <= getattr(self, name) <= INT64_MAX:
+                raise ConfigError(f"{name} {getattr(self, name)} is outside the int64 range")
         if self.product_lb > self.product_ub:
             raise ConfigError(f"product bounds inverted: [{self.product_lb}, {self.product_ub}]")
         if self.stock_lb >= self.stock_ub:
@@ -105,17 +103,15 @@ class Bounds:
             raise ConfigError(
                 f"velocity_fraction must be positive and finite, got {self.velocity_fraction}"
             )
-        widest = max(self.stock_ub - self.stock_lb, self.product_ub - self.product_lb)
-        if not math.isfinite(2.0 * self.velocity_fraction * widest):
+        if not math.isfinite(2.0 * self.velocity_fraction * self.widest_range):
             raise ConfigError(
                 f"velocity_fraction {self.velocity_fraction} overflows the velocity limits"
             )
 
-    def contains_product(self, product_id: int) -> bool:
-        return self.product_lb <= product_id <= self.product_ub
-
-    def contains_stock(self, value: StockLevel) -> bool:
-        return self.stock_lb <= value <= self.stock_ub
+    @property
+    def widest_range(self) -> int:
+        """Largest upper-minus-lower extent over all dimensions."""
+        return max(self.stock_ub - self.stock_lb, self.product_ub - self.product_lb)
 
     def position_lower(self, member_count: int) -> np.ndarray:
         """Per-dimension lower bound of an individual, as float64."""
@@ -191,26 +187,6 @@ def weights_from_priorities(priorities: PriorityConfig) -> Weights:
             "both lead-time priorities are zero; fitness log term would be log(0)"
         )
     return Weights(priorities.r1 / total, priorities.r2 / total, priorities.r3 / total)
-
-
-@dataclass(frozen=True)
-class PeriodCount:
-    """How often a candidate occurred within the recorded history."""
-
-    total_periods: int
-    occurrences: int
-
-    def __post_init__(self) -> None:
-        if self.total_periods < 1:
-            raise ConfigError(f"total_periods must be positive, got {self.total_periods}")
-        if not (0 <= self.occurrences <= self.total_periods):
-            raise ConfigError(
-                f"occurrences {self.occurrences} outside [0, {self.total_periods}]"
-            )
-
-    @property
-    def occurrence_ratio(self) -> float:
-        return self.occurrences / self.total_periods
 
 
 def round_half_away_from_zero(values: np.ndarray | list[float]) -> np.ndarray:

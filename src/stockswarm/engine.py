@@ -27,6 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domain import (
+    INT64_MAX,
+    INT64_MIN,
     Bounds,
     PriorityConfig,
     Topology,
@@ -40,33 +42,22 @@ from .errors import (
     DimensionMismatch,
     LogDomainError,
     MissingRawMaterial,
+    ParseError,
 )
 from .history import HistoryStore
 
 __all__ = [
-    "Particle",
     "PsoConfig",
     "OptimizationResult",
     "FitnessEvaluator",
-    "init_swarm",
     "evaluate",
     "inertia_weight",
-    "update_velocity",
-    "update_position",
+    "draw_swarm",
+    "pso_step",
     "run",
 ]
 
 _LOG_BASES = ("natural", "base10")
-
-
-@dataclass
-class Particle:
-    """One swarm member: current state plus its personal best."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: float
 
 
 @dataclass(frozen=True)
@@ -134,8 +125,27 @@ class PsoConfig:
             raise ConfigError(
                 f"w_min {self.w_min} must not exceed w_max {self.w_max}"
             )
+        b = self.bounds
+        step = (
+            max(abs(self.w_max), abs(self.w_min)) * b.velocity_fraction * b.widest_range
+            + (self.c1 + self.c2) * b.widest_range
+        )
+        if not math.isfinite(step):
+            raise ConfigError(
+                f"c1 {self.c1}, c2 {self.c2}, w_max {self.w_max} and w_min {self.w_min} "
+                "overflow the velocity update on these bounds"
+            )
         if self.match_radius < 0:
             raise ConfigError(f"match_radius must be non-negative, got {self.match_radius}")
+        # Positions are float64; the matcher compares their rounded values
+        # with recorded levels up to match_radius away, in int64.
+        for name, sign in (("product_lb", -1), ("product_ub", 1), ("stock_lb", -1), ("stock_ub", 1)):
+            reach = int(float(getattr(b, name))) + sign * self.match_radius
+            if not INT64_MIN <= reach <= INT64_MAX:
+                raise ConfigError(
+                    f"{name} {getattr(b, name)} widened by match_radius "
+                    f"{self.match_radius} does not fit in int64"
+                )
         if self.log_base not in _LOG_BASES:
             raise ConfigError(
                 f"log_base must be one of {_LOG_BASES}, got {self.log_base!r}"
@@ -167,8 +177,8 @@ class OptimizationResult:
 class FitnessEvaluator:
     """Precomputed, reusable fitness function over one store and config.
 
-    Reads the store's per-product index and adds each record's lead-time
-    sum, so a whole swarm evaluates as a few numpy reductions per product.
+    Matches through the store's per-product index, so a whole swarm
+    evaluates as a few numpy reductions per product.
     Pure: no internal state changes after construction, so repeated calls
     on equal positions are bit-identical.
     """
@@ -180,36 +190,19 @@ class FitnessEvaluator:
         self._log = np.log if config.log_base == "natural" else np.log10
         self._total = store.total_periods
         self._dim = dimension(store.topology)
-        # Per-row lead-time sums, aligned with store.product_rows(pid).
-        self._lead_sums: dict[int, np.ndarray] = {}
+        # t_stock is summed in int64, and a product's largest t_stock is the
+        # exact total over all of its records.
         for pid in store.products:
-            tids, _ = store.product_rows(pid)
-            sums = np.array(
-                [store.stock_lead_time_total((t,)) for t in tids.tolist()], dtype=np.int64
-            )
-            sums.flags.writeable = False
-            self._lead_sums[pid] = sums
+            tids, _, _ = store.product_rows(pid)
+            total = store.stock_lead_time_total(tids.tolist())
+            if total > INT64_MAX:
+                raise ParseError(
+                    f"stock lead times of product {pid} sum to {total}, past the int64 range"
+                )
 
     @property
     def weights(self) -> Weights:
         return self._weights
-
-    def lead_sums(self, product_id: int) -> np.ndarray:
-        """Read-only lead-time sum of each record of a product on record,
-        in the row order of ``store.product_rows``."""
-        return self._lead_sums[int(product_id)]
-
-    def components(self, position: Sequence[float]) -> tuple[int, int, int, int]:
-        """Rounded product id, P(occ), t_stock and t_raw for one position."""
-        rounded = round_half_away_from_zero(np.asarray(position, dtype=np.float64))
-        if rounded.shape != (self._dim,):
-            raise DimensionMismatch(
-                f"position has {rounded.size} entries, expected {self._dim}"
-            )
-        pid = int(rounded[0])
-        match = self._store.match_individual(pid, rounded[1:], self._radius)
-        t_stock = self._store.stock_lead_time_total(match.tids)
-        return pid, match.occurrences, t_stock, self._store.raw_lead_time_total(pid)
 
     def score(self, pids: np.ndarray, occ: np.ndarray, t_stock: np.ndarray) -> np.ndarray:
         """Fitness of rounded positions whose matches are already counted.
@@ -233,29 +226,23 @@ class FitnessEvaluator:
         return w.w1 * (1.0 - occ / self._total) + self._log(argument)
 
     def evaluate(self, position: Sequence[float]) -> float:
-        pid, occ, t_stock, _ = self.components(position)
-        return float(self.score(np.array([pid]), np.array([occ]), np.array([t_stock]))[0])
+        """Fitness of one position: ``evaluate_batch`` on a batch of one."""
+        return float(self.evaluate_batch(np.asarray(position, dtype=np.float64)[None])[0])
 
     def evaluate_batch(self, positions: np.ndarray) -> np.ndarray:
         """Fitness of each row of an (n, d) position matrix."""
         rounded = round_half_away_from_zero(positions)
+        if rounded.ndim != 2 or rounded.shape[1] != self._dim:
+            raise DimensionMismatch(
+                f"positions have shape {rounded.shape}, expected (n, {self._dim})"
+            )
         pids = rounded[:, 0]
         levels = rounded[:, 1:]
-        n = positions.shape[0]
-        occ = np.zeros(n, dtype=np.int64)
-        t_stock = np.zeros(n, dtype=np.int64)
+        occ = np.zeros(len(rounded), dtype=np.int64)
+        t_stock = np.zeros(len(rounded), dtype=np.int64)
         for pid in np.unique(pids):
-            rows = self._store.product_rows(pid)
-            if rows is None:
-                continue
             mask = pids == pid
-            _, matrix = rows
-            # (queries, records, members) absolute box test per dimension.
-            hits = (
-                np.abs(matrix[None, :, :] - levels[mask][:, None, :]) <= self._radius
-            ).all(axis=2)
-            occ[mask] = hits.sum(axis=1)
-            t_stock[mask] = hits @ self.lead_sums(pid)
+            occ[mask], t_stock[mask] = self._store.match_counts(pid, levels[mask], self._radius)
         return self.score(pids, occ, t_stock)
 
 
@@ -284,73 +271,12 @@ def inertia_weight(config: PsoConfig, iteration: int) -> float:
     return config.w_max - (config.w_max - config.w_min) * iteration / config.max_iterations
 
 
-def _velocity_step(
-    velocity: np.ndarray,
-    position: np.ndarray,
-    pbest_position: np.ndarray,
-    gbest_position: np.ndarray,
-    w: float,
-    c1: float,
-    c2: float,
-    r1,
-    r2,
-    v_min: np.ndarray,
-    v_max: np.ndarray,
-) -> np.ndarray:
-    raw = (
-        w * velocity
-        + c1 * r1 * (pbest_position - position)
-        + c2 * r2 * (gbest_position - position)
-    )
-    return np.clip(raw, v_min, v_max)
-
-
-def update_velocity(
-    particle: Particle,
-    gbest_position: np.ndarray,
-    w: float,
-    c1: float,
-    c2: float,
-    r1,
-    r2,
-    bounds: Bounds,
-) -> np.ndarray:
-    """New clamped velocity for one particle; does not mutate the particle.
-
-    ``r1`` and ``r2`` are scalars in [0, 1], or per-dimension vectors when
-    per-dimension draws are enabled.
-    """
-    member_count = particle.position.shape[0] - 1
-    v_min, v_max = bounds.velocity_limits(member_count)
-    return _velocity_step(
-        particle.velocity,
-        particle.position,
-        particle.pbest_position,
-        np.asarray(gbest_position, dtype=np.float64),
-        w,
-        c1,
-        c2,
-        r1,
-        r2,
-        v_min,
-        v_max,
-    )
-
-
-def update_position(
-    particle: Particle, new_velocity: np.ndarray, bounds: Bounds
-) -> np.ndarray:
-    """New position after one velocity step, clamped into the search box."""
-    member_count = particle.position.shape[0] - 1
-    lower = bounds.position_lower(member_count)
-    upper = bounds.position_upper(member_count)
-    return np.clip(particle.position + new_velocity, lower, upper)
-
-
-def _draw_init(
+def draw_swarm(
     config: PsoConfig, topology: Topology, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial position and velocity matrices; positions drawn first."""
+    """Initial (swarm_size, d) position and velocity matrices, drawn
+    uniformly inside the position box and the velocity limits; positions
+    are drawn first."""
     d = dimension(topology)
     n = config.swarm_size
     lower = config.bounds.position_lower(topology.member_count)
@@ -361,32 +287,41 @@ def _draw_init(
     return positions, velocities
 
 
-def init_swarm(
+def pso_step(
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    pbest_positions: np.ndarray,
+    gbest_position: np.ndarray,
+    w: float,
+    r1,
+    r2,
     config: PsoConfig,
-    topology: Topology,
-    rng: np.random.Generator,
-    fitness: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[Particle]:
-    """Uniformly sampled swarm with pbest set to the starting state.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One inertia-weight PSO update of a whole swarm (Shi & Eberhart 1998).
 
-    ``fitness`` maps an (n, d) position matrix to n fitness values; when
-    omitted, initial pbest fitness is +inf and callers must evaluate before
-    the first comparison.
+    Rows are particles.  The velocity is
+    ``w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)`` clipped to the
+    velocity limits, and the position is ``x + v`` clipped to the search box.
+    ``r1`` and ``r2`` hold draws in [0, 1) that broadcast against the rows:
+    scalars, (n, 1) columns, or (n, d) matrices for per-dimension draws.
+    Returns new (positions, velocities) arrays; the inputs are not changed.
     """
-    positions, velocities = _draw_init(config, topology, rng)
-    if fitness is None:
-        values = np.full(config.swarm_size, math.inf)
-    else:
-        values = np.asarray(fitness(positions), dtype=np.float64)
-    return [
-        Particle(
-            position=positions[i].copy(),
-            velocity=velocities[i].copy(),
-            pbest_position=positions[i].copy(),
-            pbest_fitness=float(values[i]),
-        )
-        for i in range(config.swarm_size)
-    ]
+    member_count = positions.shape[-1] - 1
+    bounds = config.bounds
+    v_min, v_max = bounds.velocity_limits(member_count)
+    velocities = np.clip(
+        w * velocities
+        + config.c1 * r1 * (pbest_positions - positions)
+        + config.c2 * r2 * (gbest_position - positions),
+        v_min,
+        v_max,
+    )
+    positions = np.clip(
+        positions + velocities,
+        bounds.position_lower(member_count),
+        bounds.position_upper(member_count),
+    )
+    return positions, velocities
 
 
 def _check_log_domain(store: HistoryStore, config: PsoConfig) -> None:
@@ -439,11 +374,8 @@ def run(
     evaluator = FitnessEvaluator(store, config)
     rng = np.random.default_rng(config.seed)
     n, d = config.swarm_size, dimension(topology)
-    lower = config.bounds.position_lower(topology.member_count)
-    upper = config.bounds.position_upper(topology.member_count)
-    v_min, v_max = config.bounds.velocity_limits(topology.member_count)
 
-    positions, velocities = _draw_init(config, topology, rng)
+    positions, velocities = draw_swarm(config, topology, rng)
     fitness = evaluator.evaluate_batch(positions)
     pbest_positions = positions.copy()
     pbest_fitness = fitness.copy()
@@ -462,11 +394,9 @@ def run(
         else:
             r = rng.random((n, 2))
             r1, r2 = r[:, 0:1], r[:, 1:2]
-        velocities = _velocity_step(
-            velocities, positions, pbest_positions, gbest_position,
-            w, config.c1, config.c2, r1, r2, v_min, v_max,
+        positions, velocities = pso_step(
+            positions, velocities, pbest_positions, gbest_position, w, r1, r2, config
         )
-        positions = np.clip(positions + velocities, lower, upper)
         fitness = evaluator.evaluate_batch(positions)
 
         improved = fitness < pbest_fitness  # strict, ties keep the older pbest

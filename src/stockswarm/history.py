@@ -153,13 +153,19 @@ class HistoryStore:
         self._raw_total = raw_total
 
         # Per-product contiguous views for fast box matching.
-        self._by_product: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._by_product: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for pid in sorted({r.product_id for r in records}):
             rows = [r for r in records if r.product_id == pid]
             tids = np.array([r.tid for r in rows], dtype=np.int64)
             levels = np.array([r.levels for r in rows], dtype=np.int64)
-            tids.flags.writeable = levels.flags.writeable = False
-            self._by_product[pid] = (tids, levels)
+            lead_sums = np.array([lead_sum_by_tid[r.tid] for r in rows], dtype=np.int64)
+            tids.flags.writeable = levels.flags.writeable = lead_sums.flags.writeable = False
+            self._by_product[pid] = (tids, levels, lead_sums)
+        self._no_records = (
+            np.empty(0, dtype=np.int64),
+            np.empty((0, l), dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
 
     @classmethod
     def from_records(
@@ -204,10 +210,37 @@ class HistoryStore:
         """Product ids that occur in the history, ascending."""
         return tuple(sorted(self._by_product))
 
-    def product_rows(self, product_id: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Read-only TIDs and (rows, members) level matrix of one product's
-        records in ascending TID order, or None when it has no records."""
+    def product_rows(
+        self, product_id: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Read-only TIDs, (rows, members) level matrix and per-row lead-time
+        sums of one product's records in ascending TID order, or None when it
+        has no records."""
         return self._by_product.get(int(product_id))
+
+    def _box_hits(
+        self, product_id: int, queries: np.ndarray, radius: int
+    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+        """The product's index entry (empty without records), and a (queries,
+        records) matrix that is True where a record lies within ``radius`` of
+        a query on every member."""
+        if radius < 0:
+            raise ConfigError(f"matching radius must be non-negative, got {radius}")
+        members = self._topology.member_count
+        if queries.ndim != 2 or queries.shape[1] != members:
+            raise DimensionMismatch(
+                f"queries have shape {queries.shape}, expected (n, {members})"
+            )
+        entry = self._by_product.get(int(product_id), self._no_records)
+        return entry, (np.abs(entry[1][None, :, :] - queries[:, None, :]) <= radius).all(axis=2)
+
+    def match_counts(
+        self, product_id: int, queries: np.ndarray, radius: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """P(occ) and the summed lead time of the matched records for each row
+        of an (n, members) int64 matrix of level queries on one product."""
+        (_, _, lead_sums), hits = self._box_hits(product_id, queries, radius)
+        return hits.sum(axis=1), hits @ lead_sums
 
     def match_individual(
         self, product_id: int, levels: Sequence[int], radius: int
@@ -218,19 +251,13 @@ class HistoryStore:
         ``radius == 0`` is exact integer equality per dimension.  An empty
         result is valid and common.
         """
-        if radius < 0:
-            raise ConfigError(f"matching radius must be non-negative, got {radius}")
         query = np.asarray(levels, dtype=np.int64)
         if query.shape != (self._topology.member_count,):
             raise DimensionMismatch(
                 f"query has {query.size} stock entries, expected {self._topology.member_count}"
             )
-        entry = self._by_product.get(int(product_id))
-        if entry is None:
-            return MatchResult((), 0)
-        tids, matrix = entry
-        hit = (np.abs(matrix - query) <= radius).all(axis=1)
-        matched = tuple(int(t) for t in tids[hit])
+        (tids, _, _), hits = self._box_hits(product_id, query[None, :], radius)
+        matched = tuple(int(t) for t in tids[hits[0]])
         return MatchResult(matched, len(matched))
 
     def stock_lead_time_total(self, tids: Iterable[int]) -> int:

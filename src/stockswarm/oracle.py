@@ -57,7 +57,7 @@ def empty_match_candidate(
     filler = min(max(0, lb), ub)
     if rows is None:
         return (product_id,) + (filler,) * l
-    _, matrix = rows
+    _, matrix, _ = rows
     for dim in range(l):
         values = np.unique(matrix[:, dim])
         chosen: int | None = None
@@ -113,13 +113,13 @@ def _exact_match_fitness(
     """
     tids, occ, t_stock = [], [], []
     for pid in store.products:
-        group_tids, levels = store.product_rows(pid)
+        group_tids, levels, lead_sums = store.product_rows(pid)
         _, inverse, counts = np.unique(
             levels, axis=0, return_inverse=True, return_counts=True
         )
         inverse = inverse.reshape(-1)
         lead = np.zeros(counts.size, dtype=np.int64)
-        np.add.at(lead, inverse, evaluator.lead_sums(pid))
+        np.add.at(lead, inverse, lead_sums)
         tids.append(group_tids)
         occ.append(counts[inverse])
         t_stock.append(lead[inverse])

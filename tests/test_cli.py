@@ -161,6 +161,54 @@ class TestOptimizeCommand:
         assert setting.split()[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "setting, reason",
+        [
+            ("stock_ub = 100000000000000000000", "int64"),
+            ("stock_ub = 9223372036854775807", "int64"),
+            ("stock_lb = -9223372036854775808", "int64"),
+            ("product_ub = 1" + "0" * 400, "int64"),
+            ("c1 = 1e308", "overflow"),
+            ("c2 = 1e308", "overflow"),
+            ("w_max = 1e308", "overflow"),
+            ("w_min = -1e308", "overflow"),
+        ],
+        ids=[
+            "stock_ub-1e20", "stock_ub-int64-max", "stock_lb-int64-min", "product_ub-1e400",
+            "c1", "c2", "w_max", "w_min",
+        ],
+    )
+    def test_out_of_range_setting_exit_3(self, tmp_path, capsys, setting, reason):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(setting + "\n")
+        code = main(["optimize", "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert setting.split()[0] in err and reason in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_lead_time_total_past_int64_exit_2(self, tmp_path, paths, capsys):
+        # two product-3 periods whose link days each fit int64 but not together
+        tids = [line.split(",")[0] for line in paths[0].read_text().splitlines()[1:]
+                if line.split(",")[1] == "3"][:2]
+        lines = paths[1].read_text().splitlines()
+        huge = f"{2**62},{2**62 - 1},0,0,0,0"
+        bad = tmp_path / "stock_lead_times.csv"
+        bad.write_text("\n".join(
+            f"{line.split(',')[0]},{huge}" if line.split(",")[0] in tids else line
+            for line in lines
+        ) + "\n")
+        out = tmp_path / "o"
+        code = main(["optimize", "--stock-lead", str(bad), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "int64" in err
+        assert not out.exists()
+
     def test_trace_bounded_by_max_iterations(self, tmp_path, capsys):
         conf = tmp_path / "short.conf"
         conf.write_text("max_iterations = 8\nmatch_radius = 0\n")

@@ -71,13 +71,6 @@ class TestBounds:
         assert np.allclose(v_max[1:], 0.2 * 2000)
         assert (v_min == -v_max).all()
 
-    def test_contains(self):
-        b = ss.Bounds()
-        assert b.contains_product(1) and b.contains_product(5)
-        assert not b.contains_product(0) and not b.contains_product(6)
-        assert b.contains_stock(-1000) and b.contains_stock(1000)
-        assert not b.contains_stock(1001)
-
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ConfigError):
             ss.Bounds(product_lb=6, product_ub=5)
@@ -85,6 +78,14 @@ class TestBounds:
             ss.Bounds(stock_lb=10, stock_ub=10)
         with pytest.raises(ConfigError):
             ss.Bounds(velocity_fraction=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"stock_ub": 10**20}, {"stock_lb": -(2**63) - 1}, {"product_ub": 10**400}],
+    )
+    def test_rejects_bounds_outside_int64(self, kwargs):
+        with pytest.raises(ConfigError, match="int64"):
+            ss.Bounds(**kwargs)
 
     @pytest.mark.parametrize("fraction", [float("inf"), float("nan"), 1e308])
     def test_rejects_velocity_fraction_without_finite_limits(self, fraction):
@@ -136,19 +137,6 @@ class TestWeights:
             ss.Weights(0.5, 0.5, 0.5)
         with pytest.raises(ConfigError):
             ss.Weights(1.2, -0.1, -0.1)
-
-
-class TestPeriodCount:
-    def test_ratio(self):
-        assert ss.PeriodCount(20, 7).occurrence_ratio == 0.35
-
-    def test_rejects_impossible_counts(self):
-        with pytest.raises(ConfigError):
-            ss.PeriodCount(0, 0)
-        with pytest.raises(ConfigError):
-            ss.PeriodCount(5, 6)
-        with pytest.raises(ConfigError):
-            ss.PeriodCount(5, -1)
 
 
 class TestRounding:

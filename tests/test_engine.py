@@ -12,6 +12,7 @@ from stockswarm.errors import (
     DimensionMismatch,
     LogDomainError,
     MissingRawMaterial,
+    ParseError,
 )
 
 TID1_POSITION = [3, 632, 424, 247, -298, -115, 365, 961]
@@ -58,11 +59,29 @@ class TestPsoConfigValidation:
             {"w_max": float("inf")},
             {"w_min": float("nan")},
             {"w_min": float("-inf")},
+            {"c1": 1e308},
+            {"c2": 1e308, "c1": 1e308},
+            {"w_max": 1e308},
+            {"w_min": -1e308},
+            {"bounds": ss.Bounds(stock_ub=2**63 - 1)},
+            {"bounds": ss.Bounds(stock_lb=-(2**63)), "match_radius": 1},
+            {"bounds": ss.Bounds(stock_ub=2**63 - 1024), "match_radius": 1024},
+            {"match_radius": 2**63 - 5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             ss.PsoConfig(**kwargs)
+
+    def test_accepts_bounds_whose_reach_fits_int64(self):
+        # 2**62 is exact in float64, and 2**62 + 100 fits in int64
+        ss.PsoConfig(bounds=ss.Bounds(stock_lb=-(2**62), stock_ub=2**62), match_radius=100)
+        ss.PsoConfig(bounds=ss.Bounds(stock_ub=2**63 - 1024), match_radius=1023)
+        ss.PsoConfig(bounds=ss.Bounds(stock_lb=-(2**63)), match_radius=0)
+
+    def test_accepts_large_finite_accelerations(self):
+        # (c1 + c2) * 2000 stays finite; only an overflowing update is rejected
+        ss.PsoConfig(c1=1e300, c2=1e300, w_max=1e300, w_min=-1e300)
 
 
 class TestEvaluate:
@@ -93,21 +112,6 @@ class TestEvaluate:
         position = np.array([2.7, 13.2, -801.5, 0.49, 5.5, -5.5, 333.0, -1.0])
         assert evaluator.evaluate(position) == evaluator.evaluate(position)
 
-    def test_batch_matches_scalar_path(self, store):
-        evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=50))
-        rng = np.random.default_rng(3)
-        positions = np.column_stack(
-            [rng.uniform(1, 5, 16)] + [rng.uniform(-1000, 1000, 16) for _ in range(7)]
-        )
-        batch = evaluator.evaluate_batch(positions)
-        for row, value in zip(positions, batch):
-            assert evaluator.evaluate(row) == value
-
-    def test_components_exposes_formula_inputs(self, store):
-        evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=0))
-        pid, occ, t_stock, t_raw = evaluator.components(TID1_POSITION)
-        assert (pid, occ, t_stock, t_raw) == (3, 1, 121, 89)
-
     def test_dimension_mismatch(self, store):
         with pytest.raises(DimensionMismatch):
             ss.evaluate(store, ss.PsoConfig(), [3, 1, 2])
@@ -116,6 +120,19 @@ class TestEvaluate:
         cfg = ss.PsoConfig(bounds=ss.Bounds(product_ub=9))
         with pytest.raises(MissingRawMaterial):
             ss.evaluate(store, cfg, [9, 0, 0, 0, 0, 0, 0, 0])
+
+    def test_lead_time_total_past_int64_rejected(self, tiny_rows):
+        # each row's lead time fits int64; a product total of 2**63 does not,
+        # and an int64 t_stock matching both rows would wrap
+        topology, _, _, raws = tiny_rows
+        history = [(1, 1, (0, 0, 0)), (2, 1, (0, 0, 0)), (3, 2, (0, 0, 0))]
+        cfg = ss.PsoConfig(match_radius=0)
+        fits = [(1, (2**62, 2**62 - 1)), (2, (0, 0)), (3, (2**62, 2**62 - 1))]
+        ss.FitnessEvaluator(ss.HistoryStore.from_records(topology, history, fits, raws), cfg)
+        wraps = [(1, (2**62, 2**62 - 1)), (2, (0, 1)), (3, (0, 0))]
+        store = ss.HistoryStore.from_records(topology, history, wraps, raws)
+        with pytest.raises(ParseError, match="int64"):
+            ss.FitnessEvaluator(store, cfg)
 
     def test_log_domain_error(self, tiny_rows):
         # zero link times and r3 = 0 drive the log argument to zero on a miss
@@ -159,117 +176,92 @@ class TestInertiaWeight:
 
 
 class TestUpdateArithmetic:
-    def _particle(self, position, velocity, pbest):
-        return ss.Particle(
-            position=np.array(position, dtype=np.float64),
-            velocity=np.array(velocity, dtype=np.float64),
-            pbest_position=np.array(pbest, dtype=np.float64),
-            pbest_fitness=0.0,
+    @staticmethod
+    def _step(position, velocity, pbest, gbest, w, r1, r2, bounds=None, c1=2.0, c2=2.0):
+        config = ss.PsoConfig(c1=c1, c2=c2, bounds=bounds or ss.Bounds())
+        return ss.pso_step(
+            np.array([position], dtype=np.float64),
+            np.array([velocity], dtype=np.float64),
+            np.array([pbest], dtype=np.float64),
+            np.array(gbest, dtype=np.float64),
+            w,
+            r1,
+            r2,
+            config,
         )
 
     def test_reference_arithmetic(self):
         # 0.9*1.0 + 2*0.5*10 + 2*0.25*(-4) = 8.9 on the stock dimension
-        particle = self._particle([3.0, 0.0], [0.0, 1.0], [3.0, 10.0])
-        gbest = np.array([3.0, -4.0])
-        velocity = ss.update_velocity(
-            particle, gbest, w=0.9, c1=2.0, c2=2.0, r1=0.5, r2=0.25, bounds=ss.Bounds()
+        positions, velocities = self._step(
+            [3.0, 0.0], [0.0, 1.0], [3.0, 10.0], [3.0, -4.0], w=0.9, r1=0.5, r2=0.25
         )
-        assert velocity[1] == pytest.approx(8.9, abs=1e-12)
-        assert velocity[0] == 0.0
+        assert velocities[0, 1] == pytest.approx(8.9, abs=1e-12)
+        assert velocities[0, 0] == 0.0
+        assert (positions == velocities + np.array([3.0, 0.0])).all()
+        # unequal constants: 0.9*1.0 + 1.5*0.5*10 + 2.5*0.25*(-4) = 5.9
+        _, velocities = self._step(
+            [3.0, 0.0], [0.0, 1.0], [3.0, 10.0], [3.0, -4.0], 0.9, 0.5, 0.25, c1=1.5, c2=2.5
+        )
+        assert velocities[0, 1] == pytest.approx(5.9, abs=1e-12)
 
     def test_zero_attraction_leaves_scaled_inertia(self):
-        particle = self._particle([2.0, 7.0, -3.0], [1.0, -2.0, 0.5], [2.0, 7.0, -3.0])
-        velocity = ss.update_velocity(
-            particle,
-            particle.position,
-            w=0.7,
-            c1=2.0,
-            c2=2.0,
-            r1=0.9,
-            r2=0.1,
-            bounds=ss.Bounds(),
-        )
-        assert velocity == pytest.approx(0.7 * particle.velocity)
+        here = [2.0, 7.0, -3.0]
+        _, velocities = self._step(here, [1.0, -2.0, 0.5], here, here, w=0.7, r1=0.9, r2=0.1)
+        assert velocities[0] == pytest.approx(0.7 * np.array([1.0, -2.0, 0.5]))
 
     def test_velocity_clamped_to_limits(self):
         bounds = ss.Bounds(stock_lb=-500, stock_ub=500, velocity_fraction=0.2)
         v_min, v_max = bounds.velocity_limits(1)
-        particle = self._particle([1.0, 0.0], [0.0, 0.0], [1.0, 500.0])
-        velocity = ss.update_velocity(
-            particle,
-            np.array([1.0, 500.0]),
-            w=0.9,
-            c1=2.0,
-            c2=2.0,
-            r1=1.0,
-            r2=1.0,
-            bounds=bounds,
+        _, velocities = self._step(
+            [1.0, 0.0], [0.0, 0.0], [1.0, 500.0], [1.0, 500.0], 0.9, 1.0, 1.0, bounds
         )
-        assert velocity[1] == v_max[1] == 200.0
-        neutral = self._particle([1.0, 0.0], [0.0, 0.0], [1.0, 0.0])
-        velocity = ss.update_velocity(
-            neutral,
-            np.array([1.0, -500.0]),
-            w=0.9,
-            c1=2.0,
-            c2=2.0,
-            r1=1.0,
-            r2=1.0,
-            bounds=bounds,
+        assert velocities[0, 1] == v_max[1] == 200.0
+        _, velocities = self._step(
+            [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, -500.0], 0.9, 1.0, 1.0, bounds
         )
-        assert velocity[1] == v_min[1] == -200.0
+        assert velocities[0, 1] == v_min[1] == -200.0
 
     def test_position_identity_with_zero_velocity(self):
-        particle = self._particle([2.0, 10.0, -20.0], [0, 0, 0], [2.0, 10.0, -20.0])
-        new = ss.update_position(particle, np.zeros(3), ss.Bounds())
-        assert (new == particle.position).all()
+        here = [2.0, 10.0, -20.0]
+        positions, _ = self._step(here, [0.0, 0.0, 0.0], here, here, w=0.9, r1=0.3, r2=0.6)
+        assert (positions[0] == here).all()
 
     def test_position_upper_clamp(self):
-        particle = self._particle([4.8, 0.0], [0, 0], [4.8, 0.0])
-        new = ss.update_position(particle, np.array([1.0, 0.0]), ss.Bounds())
-        assert new[0] == 5.0
+        here = [4.8, 0.0]
+        positions, _ = self._step(here, [0.5, 0.0], here, here, w=1.0, r1=0.3, r2=0.6)
+        assert positions[0, 0] == 5.0
 
     def test_position_lower_clamp(self):
-        particle = self._particle([2.0, -990.0], [0, 0], [2.0, -990.0])
-        new = ss.update_position(particle, np.array([0.0, -25.0]), ss.Bounds())
-        assert new[1] == -1000.0
+        here = [2.0, -990.0]
+        positions, _ = self._step(here, [0.0, -25.0], here, here, w=1.0, r1=0.3, r2=0.6)
+        assert positions[0, 1] == -1000.0
+
+    def test_inputs_not_mutated(self):
+        position, velocity = np.array([[3.0, 0.0]]), np.array([[0.0, 1.0]])
+        ss.pso_step(position, velocity, position + 1, position[0] - 1, 0.9, 0.5, 0.5, ss.PsoConfig())
+        assert position.tolist() == [[3.0, 0.0]] and velocity.tolist() == [[0.0, 1.0]]
 
 
 class TestInitSwarm:
     def test_size_and_dimension(self, topology):
         cfg = ss.PsoConfig(swarm_size=2, seed=11)
-        swarm = ss.init_swarm(cfg, topology, np.random.default_rng(cfg.seed))
-        assert len(swarm) == 2
-        assert all(p.position.shape == (8,) for p in swarm)
-        assert all(p.velocity.shape == (8,) for p in swarm)
+        positions, velocities = ss.draw_swarm(cfg, topology, np.random.default_rng(cfg.seed))
+        assert positions.shape == velocities.shape == (2, 8)
 
     def test_same_seed_bitwise_identical(self, topology):
         cfg = ss.PsoConfig(swarm_size=6, seed=42)
-        a = ss.init_swarm(cfg, topology, np.random.default_rng(42))
-        b = ss.init_swarm(cfg, topology, np.random.default_rng(42))
-        for pa, pb in zip(a, b):
-            assert (pa.position == pb.position).all()
-            assert (pa.velocity == pb.velocity).all()
+        a = ss.draw_swarm(cfg, topology, np.random.default_rng(42))
+        b = ss.draw_swarm(cfg, topology, np.random.default_rng(42))
+        assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
 
     def test_samples_inside_bounds(self, topology):
         cfg = ss.PsoConfig(swarm_size=40, seed=5)
-        swarm = ss.init_swarm(cfg, topology, np.random.default_rng(5))
+        positions, velocities = ss.draw_swarm(cfg, topology, np.random.default_rng(5))
         lower = cfg.bounds.position_lower(7)
         upper = cfg.bounds.position_upper(7)
         v_min, v_max = cfg.bounds.velocity_limits(7)
-        for p in swarm:
-            assert (p.position >= lower).all() and (p.position <= upper).all()
-            assert (p.velocity >= v_min).all() and (p.velocity <= v_max).all()
-
-    def test_pbest_starts_at_initial_state(self, store, topology):
-        cfg = ss.PsoConfig(swarm_size=4, seed=3, match_radius=0)
-        evaluator = ss.FitnessEvaluator(store, cfg)
-        swarm = ss.init_swarm(
-            cfg, topology, np.random.default_rng(3), fitness=evaluator.evaluate_batch
-        )
-        for p in swarm:
-            assert (p.pbest_position == p.position).all()
-            assert p.pbest_fitness == evaluator.evaluate(p.position)
+        assert (positions >= lower).all() and (positions <= upper).all()
+        assert (velocities >= v_min).all() and (velocities <= v_max).all()
 
 
 class TestRun:
@@ -311,6 +303,28 @@ class TestRun:
 
         ss.run(store, topology, cfg, observer=observer)
         assert seen == list(range(1, 26))
+
+    @pytest.mark.parametrize("per_dimension_r", [False, True])
+    def test_first_round_is_draw_then_pso_step(self, store, topology, per_dimension_r):
+        cfg = ss.PsoConfig(
+            swarm_size=5, max_iterations=1, seed=8, per_dimension_r=per_dimension_r
+        )
+        seen = []
+        ss.run(store, topology, cfg, observer=lambda _, x, v, __: seen.append((x, v)))
+
+        rng = np.random.default_rng(cfg.seed)
+        positions, velocities = ss.draw_swarm(cfg, topology, rng)
+        fitness = ss.FitnessEvaluator(store, cfg).evaluate_batch(positions)
+        gbest = positions[np.argmin(fitness)]
+        if per_dimension_r:
+            r = rng.random((5, 2, 8))
+            r1, r2 = r[:, 0, :], r[:, 1, :]
+        else:
+            r = rng.random((5, 2))
+            r1, r2 = r[:, 0:1], r[:, 1:2]
+        w = ss.inertia_weight(cfg, 0)
+        want = ss.pso_step(positions, velocities, positions, gbest, w, r1, r2, cfg)
+        assert (seen[0][0] == want[0]).all() and (seen[0][1] == want[1]).all()
 
     def test_stall_window_stops_early(self, store, topology):
         cfg = ss.PsoConfig(

@@ -225,10 +225,11 @@ class TestOracleMinimum:
         # enumeration includes a candidate seeing all 7 PI=3 periods
         cfg = ss.PsoConfig(match_radius=10**6)
         evaluator = ss.FitnessEvaluator(store, cfg)
-        record_vector = next(
-            (r.product_id, *r.levels) for r in store.records if r.product_id == 3
-        )
-        pid, occ, t_stock, _ = evaluator.components([float(v) for v in record_vector])
-        assert (pid, occ) == (3, 7)
+        product_3 = [r for r in store.records if r.product_id == 3]
+        assert len(product_3) == 7
+        record_vector = (3, *product_3[0].levels)
+        t_stock = store.stock_lead_time_total(r.tid for r in product_3)
+        expected = evaluator.score(np.array([3]), np.array([7]), np.array([t_stock]))[0]
+        assert evaluator.evaluate([float(v) for v in record_vector]) == expected
         result = ss.oracle_minimum(store, cfg)
         assert result.evaluations >= 20
