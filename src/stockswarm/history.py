@@ -17,12 +17,13 @@ so it can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import Topology
+from .domain import INT64_MAX, INT64_MIN, Topology
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -86,86 +87,55 @@ class MatchResult:
 class HistoryStore:
     """Validated, immutable view over the three historical tables.
 
-    Build it with :func:`load_store` (CSV files) or
-    :meth:`HistoryStore.from_records` (in-memory rows).  Querying never
-    mutates the store.
+    It holds each table as one read-only int64 matrix in CSV column order
+    and builds record tuples on first read.  Build it with :func:`load_store`
+    or :meth:`HistoryStore.from_records`.  Querying never mutates the store.
     """
 
     def __init__(
-        self,
-        topology: Topology,
-        records: Iterable[HistoryRecord],
-        lead_records: Iterable[StockLeadTimeRecord],
-        raw_records: Iterable[RawMaterialLeadTime],
+        self, topology: Topology, history: np.ndarray, lead: np.ndarray, raw: np.ndarray
     ) -> None:
         self._topology = topology
         l = topology.member_count
 
-        records = sorted(records, key=lambda r: r.tid)
-        lead_records = sorted(lead_records, key=lambda r: r.tid)
-        raw_records = sorted(raw_records, key=lambda r: (r.product_id, r.raw_material_id))
-        if not records:
+        history, repeat = _table(history, l + 2, 1, "history")
+        if not len(history):
             raise ParseError("history table holds no records")
+        if repeat:
+            raise DuplicateTid(f"history TID {repeat[0]} appears more than once")
+        lead, repeat = _table(lead, l, 1, "stock-lead-time")
+        if repeat:
+            raise DuplicateTid(f"lead-time TID {repeat[0]} appears more than once")
+        lead_sums = lead[:, 1:].astype(object).sum(axis=1)  # Python ints, so exact
+        lead_sums = _int64_sums(lead_sums, lead[:, 0], "lead-time TID {} link times")
+        raw, repeat = _table(raw, 3, 2, "raw-material")
+        if repeat:
+            raise ParseError(f"raw-material row (PI={repeat[0]}, RM={repeat[1]}) duplicated")
+        raw_pids, starts = np.unique(raw[:, 0], return_index=True)
+        raw_totals = np.add.reduceat(raw[:, 2].astype(object), starts)
+        raw_totals = _int64_sums(raw_totals, raw_pids, "raw-material times of product {}")
 
-        seen_tids: set[int] = set()
-        for rec in records:
-            if len(rec.levels) != l:
-                raise DimensionMismatch(
-                    f"history TID {rec.tid} has {len(rec.levels)} stock columns, expected {l}"
-                )
-            if rec.tid in seen_tids:
-                raise DuplicateTid(f"history TID {rec.tid} appears more than once")
-            seen_tids.add(rec.tid)
+        tids, pids = history[:, 0], history[:, 1]
+        missing = np.flatnonzero(~(np.isin(tids, lead[:, 0]) & np.isin(pids, raw_pids)))
+        if missing.size:  # the lowest TID first, and on it a missing lead row first
+            tid, pid = history[missing[0], :2].tolist()
+            if tid not in lead[:, 0]:
+                raise MissingLeadTimeRow(f"history TID {tid} has no stock-lead-time row")
+            raise MissingRawMaterial(f"product {pid} appears in history but has no raw-material rows")
 
-        lead_sum_by_tid: dict[int, int] = {}
-        for row in lead_records:
-            if len(row.link_times) != l - 1:
-                raise DimensionMismatch(
-                    f"lead-time TID {row.tid} has {len(row.link_times)} link columns, expected {l - 1}"
-                )
-            if row.tid in lead_sum_by_tid:
-                raise DuplicateTid(f"lead-time TID {row.tid} appears more than once")
-            lead_sum_by_tid[row.tid] = int(sum(row.link_times))
-
-        raw_total: dict[int, int] = {}
-        seen_raw: set[tuple[int, int]] = set()
-        for row in raw_records:
-            key = (row.product_id, row.raw_material_id)
-            if key in seen_raw:
-                raise ParseError(
-                    f"raw-material row (PI={row.product_id}, RM={row.raw_material_id}) duplicated"
-                )
-            seen_raw.add(key)
-            raw_total[row.product_id] = raw_total.get(row.product_id, 0) + int(row.time)
-
-        for rec in records:
-            if rec.tid not in lead_sum_by_tid:
-                raise MissingLeadTimeRow(f"history TID {rec.tid} has no stock-lead-time row")
-            if rec.product_id not in raw_total:
-                raise MissingRawMaterial(
-                    f"product {rec.product_id} appears in history but has no raw-material rows"
-                )
-
-        self._records = tuple(records)
-        self._lead_records = tuple(lead_records)
-        self._raw_records = tuple(raw_records)
-        self._lead_sum_by_tid = lead_sum_by_tid
-        self._raw_total = raw_total
-
-        # Per-product contiguous views for fast box matching.
-        self._by_product: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for pid in sorted({r.product_id for r in records}):
-            rows = [r for r in records if r.product_id == pid]
-            tids = np.array([r.tid for r in rows], dtype=np.int64)
-            levels = np.array([r.levels for r in rows], dtype=np.int64)
-            lead_sums = np.array([lead_sum_by_tid[r.tid] for r in rows], dtype=np.int64)
-            tids.flags.writeable = levels.flags.writeable = lead_sums.flags.writeable = False
-            self._by_product[pid] = (tids, levels, lead_sums)
-        self._no_records = (
-            np.empty(0, dtype=np.int64),
-            np.empty((0, l), dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
+        self._history, self._lead, self._raw, self._lead_sums = history, lead, raw, lead_sums
+        self._raw_total = dict(zip(raw_pids.tolist(), raw_totals.tolist()))
+        # Per-product contiguous copies for fast box matching, TIDs ascending.
+        row_lead_sums = lead_sums[np.searchsorted(lead[:, 0], tids)]
+        by_product = np.argsort(pids, kind="stable")
+        products, starts = np.unique(pids[by_product], return_index=True)
+        self._by_product = {
+            pid: (tids[rows], history[rows, 2:], row_lead_sums[rows])
+            for pid, rows in zip(products.tolist(), np.split(by_product, starts[1:]))
+        }
+        for array in (history, lead, raw, lead_sums, *sum(self._by_product.values(), ())):
+            array.flags.writeable = False
+        self._no_records = (history[:0, 0], history[:0, 2:], lead_sums[:0])
 
     @classmethod
     def from_records(
@@ -176,39 +146,50 @@ class HistoryStore:
         raw_rows: Iterable[tuple[int, int, int]],
     ) -> "HistoryStore":
         """Build a store from plain tuples, bypassing file parsing."""
-        return cls(
-            topology,
-            [HistoryRecord(t, p, tuple(int(v) for v in lv)) for t, p, lv in history_rows],
-            [StockLeadTimeRecord(t, tuple(int(v) for v in lt)) for t, lt in lead_rows],
-            [RawMaterialLeadTime(p, m, int(t)) for p, m, t in raw_rows],
-        )
+        l = topology.member_count
+        history_rows, lead_rows = list(history_rows), list(lead_rows)
+        bad = min(((t, len(lv)) for t, _, lv in history_rows if len(lv) != l), default=None)
+        if bad:
+            raise DimensionMismatch(f"history TID {bad[0]} has {bad[1]} stock columns, expected {l}")
+        bad = min(((t, len(lt)) for t, lt in lead_rows if len(lt) != l - 1), default=None)
+        if bad:
+            raise DimensionMismatch(
+                f"lead-time TID {bad[0]} has {bad[1]} link columns, expected {l - 1}"
+            )
+        history = [(t, p, *lv) for t, p, lv in history_rows]
+        return cls(topology, history, [(t, *lt) for t, lt in lead_rows], list(raw_rows))
 
     @property
     def topology(self) -> Topology:
         return self._topology
 
     @property
+    def history(self) -> np.ndarray:
+        """Read-only (n, l + 2) matrix of TID, PI, F1..Fl rows, TIDs ascending."""
+        return self._history
+
+    @cached_property
     def records(self) -> tuple[HistoryRecord, ...]:
         """History records in ascending TID order."""
-        return self._records
+        return tuple(HistoryRecord(t, p, tuple(lv)) for t, p, *lv in self._history.tolist())
 
-    @property
+    @cached_property
     def lead_records(self) -> tuple[StockLeadTimeRecord, ...]:
-        return self._lead_records
+        return tuple(StockLeadTimeRecord(t, tuple(lt)) for t, *lt in self._lead.tolist())
 
-    @property
+    @cached_property
     def raw_records(self) -> tuple[RawMaterialLeadTime, ...]:
-        return self._raw_records
+        return tuple(RawMaterialLeadTime(*row) for row in self._raw.tolist())
 
     @property
     def total_periods(self) -> int:
         """Number of recorded periods (= history rows)."""
-        return len(self._records)
+        return len(self._history)
 
     @property
     def products(self) -> tuple[int, ...]:
         """Product ids that occur in the history, ascending."""
-        return tuple(sorted(self._by_product))
+        return tuple(self._by_product)
 
     def product_rows(
         self, product_id: int
@@ -232,7 +213,13 @@ class HistoryStore:
                 f"queries have shape {queries.shape}, expected (n, {members})"
             )
         entry = self._by_product.get(int(product_id), self._no_records)
-        return entry, (np.abs(entry[1][None, :, :] - queries[:, None, :]) <= radius).all(axis=2)
+        # q -/+ radius, saturated: flipping the sign bit maps int64 onto uint64 in order.
+        sign = np.uint64(2**63)
+        shifted = queries.astype(np.int64, copy=False).view(np.uint64) ^ sign
+        r = np.uint64(min(radius, 2**64 - 1))
+        low = ((shifted - np.minimum(shifted, r)) ^ sign).view(np.int64)[:, None, :]
+        high = ((shifted + np.minimum(~shifted, r)) ^ sign).view(np.int64)[:, None, :]
+        return entry, ((entry[1] >= low) & (entry[1] <= high)).all(axis=2)
 
     def match_counts(
         self, product_id: int, queries: np.ndarray, radius: int
@@ -261,14 +248,18 @@ class HistoryStore:
         return MatchResult(matched, len(matched))
 
     def stock_lead_time_total(self, tids: Iterable[int]) -> int:
-        """Sum of all link transport days over the given TIDs."""
-        total = 0
-        for tid in tids:
-            try:
-                total += self._lead_sum_by_tid[tid]
-            except KeyError:
-                raise UnknownTid(f"TID {tid} has no stock-lead-time row") from None
-        return total
+        """Exact sum of all link transport days over the given TIDs."""
+        tids = list(tids)
+        try:
+            wanted = np.fromiter(tids, dtype=np.int64)
+        except OverflowError:  # a TID outside int64 is in no table
+            tid = next(t for t in tids if not INT64_MIN <= t <= INT64_MAX)
+            raise UnknownTid(f"TID {tid} has no stock-lead-time row") from None
+        rows = np.searchsorted(self._lead[:, 0], wanted)
+        found = self._lead[np.minimum(rows, len(self._lead) - 1), 0] == wanted
+        if not found.all():
+            raise UnknownTid(f"TID {wanted[~found][0]} has no stock-lead-time row")
+        return sum(self._lead_sums[rows].tolist())
 
     def raw_lead_time_total(self, product_id: int) -> int:
         """Sum of raw-material supply days for one product."""
@@ -280,8 +271,34 @@ class HistoryStore:
             ) from None
 
 
-def _read_table(path: str | Path, expected_header: list[str], label: str) -> list[list[str]]:
-    """Read a strict CSV table; returns data rows as string cells.
+def _table(rows, width: int, keys: int, label: str) -> tuple[np.ndarray, list[int] | None]:
+    """A table as an (n, width) int64 matrix sorted stably by its first
+    ``keys`` columns, and the first key that repeats, or None."""
+    try:
+        matrix = np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"{label} table holds a value outside the int64 range") from None
+    if matrix.size and (matrix.ndim != 2 or matrix.shape[1] != width):
+        raise DimensionMismatch(f"{label} table has shape {matrix.shape}, expected (n, {width})")
+    matrix = matrix.reshape(-1, width)
+    matrix = matrix[np.lexsort(matrix[:, keys - 1 :: -1].T)]
+    repeats = np.flatnonzero((matrix[1:, :keys] == matrix[:-1, :keys]).all(axis=1))
+    return matrix, (matrix[repeats[0], :keys].tolist() if repeats.size else None)
+
+
+def _int64_sums(sums: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
+    """Exact sums (Python ints) as int64; one past int64 raises ParseError."""
+    past = np.flatnonzero((sums < INT64_MIN) | (sums > INT64_MAX))
+    if past.size:
+        first = past[0]
+        raise ParseError(f"{what.format(keys[first])} sum to {sums[first]}, past the int64 range")
+    return sums.astype(np.int64)
+
+
+def _read_table(
+    path: str | Path, expected_header: list[str], label: str, minimums: list[int | None]
+) -> np.ndarray:
+    """Read a strict CSV table of integers into an int64 matrix.
 
     Width disagreements raise DimensionMismatch (they usually mean the
     configured chain size is wrong); anything else malformed raises
@@ -312,10 +329,10 @@ def _read_table(path: str | Path, expected_header: list[str], label: str) -> lis
             raise DimensionMismatch(
                 f"{label} line {lineno} has {len(cells)} columns, expected {len(expected_header)}"
             )
-        rows.append(cells)
+        rows.append([_parse_int(cell, label, lineno, low) for cell, low in zip(cells, minimums)])
     if not rows:
         raise ParseError(f"{label} file {path} has a header but no records")
-    return rows
+    return np.array(rows, dtype=np.int64)
 
 
 def _parse_int(cell: str, label: str, lineno: int, minimum: int | None = None) -> int:
@@ -325,6 +342,8 @@ def _parse_int(cell: str, label: str, lineno: int, minimum: int | None = None) -
         raise ParseError(f"{label} line {lineno}: {cell!r} is not an integer") from None
     if minimum is not None and value < minimum:
         raise ParseError(f"{label} line {lineno}: value {value} below minimum {minimum}")
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ParseError(f"{label} line {lineno}: value {value} outside the int64 range")
     return value
 
 
@@ -341,31 +360,11 @@ def load_store(
     every history product has raw-material rows.
     """
     l = topology.member_count
-
-    header = ["TID", "PI"] + [f"F{i}" for i in range(1, l + 1)]
-    records = []
-    for lineno, cells in enumerate(_read_table(history_path, header, "history"), start=2):
-        tid = _parse_int(cells[0], "history", lineno, minimum=1)
-        pid = _parse_int(cells[1], "history", lineno, minimum=1)
-        levels = tuple(_parse_int(c, "history", lineno) for c in cells[2:])
-        records.append(HistoryRecord(tid, pid, levels))
-
-    header = ["TID"] + [f"T{i}" for i in range(1, l)]
-    lead_records = []
-    for lineno, cells in enumerate(
-        _read_table(stock_leadtime_path, header, "stock-lead-time"), start=2
-    ):
-        tid = _parse_int(cells[0], "stock-lead-time", lineno, minimum=1)
-        times = tuple(_parse_int(c, "stock-lead-time", lineno, minimum=0) for c in cells[1:])
-        lead_records.append(StockLeadTimeRecord(tid, times))
-
-    raw_records = []
-    for lineno, cells in enumerate(
-        _read_table(raw_leadtime_path, ["PI", "RM", "T"], "raw-material"), start=2
-    ):
-        pid = _parse_int(cells[0], "raw-material", lineno, minimum=1)
-        rm = _parse_int(cells[1], "raw-material", lineno, minimum=1)
-        t = _parse_int(cells[2], "raw-material", lineno, minimum=0)
-        raw_records.append(RawMaterialLeadTime(pid, rm, t))
-
-    return HistoryStore(topology, records, lead_records, raw_records)
+    history = ["TID", "PI"] + [f"F{i}" for i in range(1, l + 1)]
+    lead = ["TID"] + [f"T{i}" for i in range(1, l)]
+    return HistoryStore(
+        topology,
+        _read_table(history_path, history, "history", [1, 1] + [None] * l),
+        _read_table(stock_leadtime_path, lead, "stock-lead-time", [1] + [0] * (l - 1)),
+        _read_table(raw_leadtime_path, ["PI", "RM", "T"], "raw-material", [1, 1, 0]),
+    )

@@ -77,32 +77,30 @@ def empty_match_candidate(
     return None
 
 
-def enumerate_candidates(
+def _empty_match_candidates(
     store: HistoryStore, config: PsoConfig
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """All oracle candidates plus products lacking an empty-match vector.
-
-    Candidates are every record's own vector in TID order, then one
-    empty-match vector per product id the swarm can round to (the bounded
-    integer range united with the products actually on record), ascending.
-    """
-    candidates = [(r.product_id, *r.levels) for r in store.records]
+    """The empty-match vectors of the product ids the swarm can round to (the
+    bounded range united with the ids on record), ascending, and the ids without one."""
     product_ids = sorted(
         set(store.products)
         | set(range(config.bounds.product_lb, config.bounds.product_ub + 1))
     )
-    skipped = []
-    for pid in product_ids:
-        candidate = empty_match_candidate(store, pid, config)
-        if candidate is None:
-            skipped.append(pid)
-        else:
-            candidates.append(candidate)
-    return candidates, tuple(skipped)
+    found = [(pid, empty_match_candidate(store, pid, config)) for pid in product_ids]
+    return [c for _, c in found if c is not None], tuple(p for p, c in found if c is None)
+
+
+def enumerate_candidates(
+    store: HistoryStore, config: PsoConfig
+) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """All oracle candidates, every record's own vector in TID order and then
+    the empty-match vectors, plus the products lacking an empty-match vector."""
+    empties, skipped = _empty_match_candidates(store, config)
+    return list(zip(*store.history[:, 1:].T.tolist())) + empties, skipped
 
 
 def _exact_match_fitness(
-    store: HistoryStore, evaluator: FitnessEvaluator, candidates: list[tuple[int, ...]]
+    store: HistoryStore, evaluator: FitnessEvaluator, candidates: np.ndarray
 ) -> np.ndarray:
     """Fitness of every candidate at radius 0, from one sort per product.
 
@@ -126,7 +124,7 @@ def _exact_match_fitness(
     in_tid_order = np.argsort(np.concatenate(tids))
     empties = np.zeros(len(candidates) - store.total_periods, dtype=np.int64)
     return evaluator.score(
-        np.array([c[0] for c in candidates], dtype=np.int64),
+        np.asarray(candidates, dtype=np.int64)[:, 0],
         np.concatenate([np.concatenate(occ)[in_tid_order], empties]),
         np.concatenate([np.concatenate(t_stock)[in_tid_order], empties]),
     )
@@ -142,7 +140,8 @@ def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
     """
     _check_log_domain(store, config)
     evaluator = FitnessEvaluator(store, config)
-    candidates, skipped = enumerate_candidates(store, config)
+    empties, skipped = _empty_match_candidates(store, config)
+    candidates = np.vstack([store.history[:, 1:], *empties])
     if config.match_radius == 0:
         fitness = _exact_match_fitness(store, evaluator, candidates)
     else:

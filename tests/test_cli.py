@@ -92,6 +92,28 @@ class TestValidateCommand:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "table, line, row, message",
+        [
+            ("history", 2, "1,3,99999999999999999999,0,0,0,0,0,0",
+             "history line 2: value 99999999999999999999 outside the int64 range"),
+            ("stock_lead", 2, f"1,{2**62},{2**62},0,0,0,0",
+             f"lead-time TID 1 link times sum to {2**63}, past the int64 range"),
+        ],
+        ids=["level-past-int64", "lead-row-sum-past-int64"],
+    )
+    def test_past_int64_exit_2(self, tmp_path, paths, capsys, table, line, row, message):
+        source = paths[0] if table == "history" else paths[1]
+        lines = source.read_text().splitlines()
+        lines[line - 1] = row
+        bad = tmp_path / source.name
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["validate", f"--{table.replace('_', '-')}", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+
 class TestOptimizeCommand:
     def test_reports_and_manifest_written(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -238,6 +260,40 @@ class TestOracleCommand:
         assert code == 0
         body = json.loads(capsys.readouterr().out)
         assert "best_fitness" in body and "best_position" in body
+
+
+@pytest.mark.parametrize("command", ["optimize", "oracle"])
+def test_raw_total_past_int64_exit_2(tmp_path, paths, capsys, command):
+    lines = paths[2].read_text().splitlines()
+    product_1 = [i for i, line in enumerate(lines) if line.startswith("1,")][:2]
+    for i in product_1:
+        lines[i] = lines[i].rsplit(",", 1)[0] + f",{2**62}"
+    total = sum(int(line.rsplit(",", 1)[1]) for line in lines if line.startswith("1,"))
+    bad = tmp_path / "raw_material_lead_times.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--raw-lead", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: raw-material times of product 1 sum to {total}, past the int64 range\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "oracle"])
+def test_jobs_build_no_record_objects(tmp_path, monkeypatch, command):
+    built = []
+
+    def counted(record_type):
+        def build(*args):
+            built.append(record_type.__name__)
+            return record_type(*args)
+        return build
+
+    for name in ("HistoryRecord", "StockLeadTimeRecord", "RawMaterialLeadTime"):
+        monkeypatch.setattr(ss.history, name, counted(getattr(ss.history, name)))
+    assert main([command, "--out", str(tmp_path / "o")]) == 0
+    assert built == []
+    assert len(ss.load_store(*ss.fixture_paths(), ss.Topology()).records) == 20
+    assert len(built) == 20
 
 
 class TestSynthCommand:

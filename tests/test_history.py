@@ -260,7 +260,220 @@ class TestLeadTimeQueries:
     def test_unknown_tid(self, store):
         with pytest.raises(UnknownTid, match="999"):
             store.stock_lead_time_total([1, 999])
+        with pytest.raises(UnknownTid, match=str(2**70)):
+            store.stock_lead_time_total([1, 2**70])
 
     def test_unknown_product_raw(self, store):
         with pytest.raises(MissingRawMaterial):
             store.raw_lead_time_total(6)
+
+
+INT64_MAX = 2**63 - 1
+SMALL_TOPOLOGY = ss.Topology(dc_count=1, agents_per_dc=(1,))
+
+
+def write_tables(directory, topology, history, leads, raws):
+    """Write in-memory rows as the three CSV files and return their paths."""
+    l = topology.member_count
+    tables = (
+        ("h.csv", ["TID", "PI"] + [f"F{i}" for i in range(1, l + 1)],
+         [(t, p, *lv) for t, p, lv in history]),
+        ("s.csv", ["TID"] + [f"T{i}" for i in range(1, l)], [(t, *lt) for t, lt in leads]),
+        ("r.csv", ["PI", "RM", "T"], raws),
+    )
+    paths = []
+    for name, header, rows in tables:
+        path = directory / name
+        path.write_text(
+            "\n".join([",".join(header)] + [",".join(map(str, row)) for row in rows]) + "\n",
+            encoding="utf-8",
+        )
+        paths.append(path)
+    return paths
+
+
+def outcome(build):
+    """The store ``build`` returns, or the type and message of its error."""
+    try:
+        return build()
+    except (ParseError, DimensionMismatch, DuplicateTid, MissingLeadTimeRow, MissingRawMaterial) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_store(a, b):
+    assert a.records == b.records
+    assert a.lead_records == b.lead_records
+    assert a.raw_records == b.raw_records
+    assert a.products == b.products
+    for pid in a.products:
+        for x, y in zip(a.product_rows(pid), b.product_rows(pid)):
+            assert x.dtype == y.dtype == np.int64
+            assert np.array_equal(x, y)
+        tids = a.product_rows(pid)[0].tolist()
+        assert a.stock_lead_time_total(tids) == b.stock_lead_time_total(tids)
+    for pid in {r.product_id for r in a.raw_records}:
+        assert a.raw_lead_time_total(pid) == b.raw_lead_time_total(pid)
+
+
+@st.composite
+def valid_tables(draw):
+    """Rows of a valid 3-member data set in random order, with values that
+    reach the edges of int64 and lead-time sums that may not fit it.  Some
+    lead-time rows may belong to no history row."""
+    level = st.one_of(
+        st.integers(-5, 5), st.integers(-(2**63), INT64_MAX), st.sampled_from([-(2**63), INT64_MAX])
+    )
+    days = st.one_of(st.integers(0, 50), st.integers(2**62 - 2, 2**62 + 2), st.just(INT64_MAX))
+    all_tids = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=10, unique=True))
+    tids = all_tids[: draw(st.integers(1, len(all_tids)))]
+    history = [(t, draw(st.integers(1, 4)), draw(st.tuples(level, level, level))) for t in tids]
+    leads = [(t, draw(st.tuples(days, days))) for t in draw(st.permutations(all_tids))]
+    pairs = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), unique=True, max_size=10))
+    covered = {p for p, _ in pairs}
+    pairs += [(p, 1) for p in range(1, 5) if p not in covered]
+    raws = [(p, m, draw(days)) for p, m in draw(st.permutations(pairs))]
+    return history, leads, raws
+
+
+class TestOneConstructor:
+    @given(tables=valid_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_load_store_equals_from_records(self, tmp_path_factory, tables):
+        history, leads, raws = tables
+        paths = write_tables(tmp_path_factory.mktemp("csv"), SMALL_TOPOLOGY, *tables)
+        loaded = outcome(lambda: ss.load_store(*paths, SMALL_TOPOLOGY))
+        built = outcome(lambda: ss.HistoryStore.from_records(SMALL_TOPOLOGY, *tables))
+        lead_sums = {t: sum(lt) for t, lt in leads}
+        raw_totals = {}
+        for p, _, t in raws:
+            raw_totals[p] = raw_totals.get(p, 0) + t
+        if max([*lead_sums.values(), *raw_totals.values()]) > INT64_MAX:
+            assert isinstance(built, tuple) and built[0] is ParseError
+            assert built == loaded
+            return
+        assert_same_store(loaded, built)
+        assert [(r.tid, r.product_id, r.levels) for r in built.records] == sorted(history)
+        assert [(r.tid, r.link_times) for r in built.lead_records] == sorted(leads)
+        assert [(r.product_id, r.raw_material_id, r.time) for r in built.raw_records] == sorted(raws)
+        for tid, total in lead_sums.items():
+            assert built.stock_lead_time_total([tid]) == total
+        for pid in built.products:
+            tids, _, sums = built.product_rows(pid)
+            assert sums.tolist() == [lead_sums[t] for t in tids.tolist()]
+        for pid, total in raw_totals.items():
+            assert built.raw_lead_time_total(pid) == total
+
+    @given(
+        cells=st.lists(
+            st.tuples(*[st.integers(-(2**63), INT64_MAX)] * 6), min_size=1, max_size=6
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lead_sums_are_exact(self, cells):
+        # from_records takes any int64 link days, negative ones too
+        topology = ss.Topology(dc_count=1, agents_per_dc=(5,))
+        history = [(tid, 1, (0,) * 7) for tid in range(1, len(cells) + 1)]
+        leads = list(zip(range(1, len(cells) + 1), cells))
+        past = [tid for tid, lt in leads if not -(2**63) <= sum(lt) <= INT64_MAX]
+        result = outcome(lambda: ss.HistoryStore.from_records(topology, history, leads, [(1, 1, 1)]))
+        if past:
+            assert result == (
+                ParseError,
+                f"lead-time TID {past[0]} link times sum to {sum(leads[past[0] - 1][1])}, "
+                "past the int64 range",
+            )
+        else:
+            assert result.product_rows(1)[2].tolist() == [sum(lt) for _, lt in leads]
+            assert result.stock_lead_time_total(range(1, len(cells) + 1)) == sum(map(sum, cells))
+
+    # Single-defect inputs on the 3-member rows of ``tiny_rows``: each edit
+    # and the error both constructors must raise for it.
+    DEFECTS = {
+        "duplicate-history-tid": (
+            lambda h, s, r: (h + [(1, 2, (0, 0, 0))], s, r),
+            DuplicateTid, "history TID 1 appears more than once",
+        ),
+        "duplicate-lead-tid": (
+            lambda h, s, r: (h, s + [(2, (0, 0))], r),
+            DuplicateTid, "lead-time TID 2 appears more than once",
+        ),
+        "duplicate-raw-pair": (
+            lambda h, s, r: (h, s, r + [(1, 2, 7)]),
+            ParseError, "raw-material row (PI=1, RM=2) duplicated",
+        ),
+        "missing-lead-row": (
+            lambda h, s, r: (h, s[:2], r),
+            MissingLeadTimeRow, "history TID 3 has no stock-lead-time row",
+        ),
+        "missing-raw-product": (
+            lambda h, s, r: (h, s, r[:2]),
+            MissingRawMaterial, "product 2 appears in history but has no raw-material rows",
+        ),
+        "lead-and-raw-missing-on-one-tid": (
+            lambda h, s, r: (h + [(4, 9, (0, 0, 0))], s, r),
+            MissingLeadTimeRow, "history TID 4 has no stock-lead-time row",
+        ),
+        "raw-missing-before-lead": (
+            lambda h, s, r: (h + [(4, 9, (0, 0, 0)), (5, 1, (0, 0, 0))], s + [(4, (1, 1))], r),
+            MissingRawMaterial, "product 9 appears in history but has no raw-material rows",
+        ),
+        "lead-row-sum-past-int64": (
+            lambda h, s, r: (h, [(1, (2**62, 2**62))] + s[1:], r),
+            ParseError, f"lead-time TID 1 link times sum to {2**63}, past the int64 range",
+        ),
+        "raw-total-past-int64": (
+            lambda h, s, r: (h, s, [(1, 1, 2**62), (1, 2, 2**62)] + r[2:]),
+            ParseError, f"raw-material times of product 1 sum to {2**63}, past the int64 range",
+        ),
+    }
+
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_single_defect_same_error_both_ways(self, tmp_path, tiny_rows, defect):
+        edit, error, message = self.DEFECTS[defect]
+        topology, *rows = tiny_rows
+        tables = edit(*rows)
+        paths = write_tables(tmp_path, topology, *tables)
+        assert outcome(lambda: ss.HistoryStore.from_records(topology, *tables)) == (error, message)
+        assert outcome(lambda: ss.load_store(*paths, topology)) == (error, message)
+
+    # Defects that only in-memory rows can carry: the CSV reader rejects an
+    # empty table or a ragged line itself, and a cell past int64 by its line.
+    ROW_DEFECTS = {
+        "empty-history": (
+            lambda h, s, r: ([], s, r), ParseError, "history table holds no records",
+        ),
+        "ragged-history-row": (
+            lambda h, s, r: (h + [(5, 1, (1,)), (4, 1, (1, 2))], s, r),
+            DimensionMismatch, "history TID 4 has 2 stock columns, expected 3",
+        ),
+        "ragged-lead-row": (
+            lambda h, s, r: (h, s + [(9, (1, 2, 3)), (8, (1,))], r),
+            DimensionMismatch, "lead-time TID 8 has 1 link columns, expected 2",
+        ),
+        "level-past-int64": (
+            lambda h, s, r: (h + [(4, 1, (0, 2**63, 0))], s, r),
+            ParseError, "history table holds a value outside the int64 range",
+        ),
+    }
+
+    @pytest.mark.parametrize("defect", list(ROW_DEFECTS))
+    def test_row_defect_from_records(self, tiny_rows, defect):
+        edit, error, message = self.ROW_DEFECTS[defect]
+        topology, *rows = tiny_rows
+        built = outcome(lambda: ss.HistoryStore.from_records(topology, *edit(*rows)))
+        assert built == (error, message)
+
+    @pytest.mark.parametrize(
+        "cell, column", [("99999999999999999999", 3), (str(2**63), 0), (str(-(2**63) - 1), 4)]
+    )
+    def test_cell_past_int64_names_line_and_value(self, tmp_path, tiny_rows, cell, column):
+        topology, *rows = tiny_rows
+        paths = write_tables(tmp_path, topology, *rows)
+        lines = paths[0].read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = cell
+        lines[2] = ",".join(cells)
+        paths[0].write_text("\n".join(lines) + "\n")
+        assert outcome(lambda: ss.load_store(*paths, topology)) == (
+            ParseError, f"history line 3: value {cell} outside the int64 range"
+        )

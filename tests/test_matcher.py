@@ -143,3 +143,74 @@ class TestFixture:
         want = reference_fitness(store, evaluator, batch.tolist(), 50)
         assert hexes(evaluator.evaluate_batch(batch)) == hexes(want)
         assert hexes(evaluator.evaluate(row) for row in batch) == hexes(want)
+
+
+# Levels near +-2**62: a query and a record can lie 2**63 or more apart, which
+# an int64 difference of the two would wrap.
+FAR = 2**62
+WIDE_RADII = [0, 1, 6, FAR]
+
+
+@st.composite
+def wide_stores(draw):
+    """A 3-member store like ``small_stores`` whose levels cluster around
+    -2**62, 0 and 2**62."""
+    level = st.builds(lambda base, offset: base + offset, st.sampled_from([-FAR, 0, FAR]), st.integers(-3, 3))
+    rows = draw(
+        st.lists(st.tuples(st.integers(1, 4), st.tuples(level, level, level)), min_size=1, max_size=12)
+    )
+    history = [(tid, pid, lv) for tid, (pid, lv) in enumerate(rows, start=1)]
+    leads = [(tid, (tid % 7, 3)) for tid, _, _ in history]
+    raws = [(pid, 1, pid * 3) for pid in range(1, 6)]
+    return ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, raws)
+
+
+wide_level = st.builds(
+    lambda base, offset: base + offset, st.sampled_from([-float(FAR), 0.0, float(FAR)]),
+    st.floats(min_value=-4.5, max_value=4.5),
+)
+wide_positions = st.lists(
+    st.tuples(st.floats(min_value=0.5, max_value=5.49), wide_level, wide_level, wide_level),
+    min_size=1,
+    max_size=12,
+)
+wide_queries = st.tuples(
+    st.integers(1, 5),
+    *[st.builds(lambda base, offset: base + offset, st.sampled_from([-FAR, 0, FAR]), st.integers(-4, 4))] * 3,
+)
+
+
+class TestFarLevels:
+    @pytest.mark.parametrize("radius", WIDE_RADII)
+    @given(store=wide_stores(), batch=wide_positions)
+    @settings(max_examples=60, deadline=None)
+    def test_evaluate_batch_bitwise(self, radius, store, batch):
+        evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=radius))
+        want = reference_fitness(store, evaluator, batch, radius)
+        assert hexes(evaluator.evaluate_batch(np.array(batch))) == hexes(want)
+
+    @pytest.mark.parametrize("radius", WIDE_RADII + [2**63 - 1, 2**63, 2**64 - 2, 10**30])
+    @given(store=wide_stores(), query=wide_queries)
+    @settings(max_examples=60, deadline=None)
+    def test_match_individual_tids(self, radius, store, query):
+        tids, _ = reference_match(store, query[0], query[1:], radius)
+        assert list(store.match_individual(query[0], query[1:], radius).tids) == tids
+
+    def test_opposite_corner_does_not_match(self):
+        store = ss.HistoryStore.from_records(
+            SMALL_TOPOLOGY, [(1, 1, (FAR,) * 3)], [(1, (2, 3))], [(1, 1, 4)]
+        )
+        config = ss.PsoConfig(match_radius=0, bounds=ss.Bounds(stock_lb=-FAR, stock_ub=FAR))
+        assert store.match_individual(1, (-FAR,) * 3, 0).tids == ()
+        assert store.match_individual(1, (FAR,) * 3, 0).tids == (1,)
+        evaluator = ss.FitnessEvaluator(store, config)
+        unmatched = evaluator.score(np.array([1]), np.array([0]), np.array([0]))
+        assert hexes([evaluator.evaluate([1, -FAR, -FAR, -FAR])]) == hexes(unmatched)
+        assert evaluator.evaluate([1, FAR, FAR, FAR]) != unmatched[0]
+
+    @pytest.mark.parametrize("radius", [2**64 - 1, 2**64, 10**30])
+    def test_radius_past_int64_matches_every_record(self, store, radius):
+        for pid in store.products:
+            tids = store.product_rows(pid)[0].tolist()
+            for query in ([0] * 7, [-(2**63)] * 7, [2**63 - 1] * 7):
+                assert list(store.match_individual(pid, query, radius).tids) == tids
