@@ -16,6 +16,7 @@ so it can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -250,11 +251,11 @@ class HistoryStore:
     def stock_lead_time_total(self, tids: Iterable[int]) -> int:
         """Exact sum of all link transport days over the given TIDs."""
         tids = list(tids)
-        try:
-            wanted = np.fromiter(tids, dtype=np.int64)
-        except OverflowError:  # a TID outside int64 is in no table
-            tid = next(t for t in tids if not INT64_MIN <= t <= INT64_MAX)
-            raise UnknownTid(f"TID {tid} has no stock-lead-time row") from None
+        try:  # index() refuses a TID such as 1.5, which no table holds either
+            wanted = np.fromiter(map(operator.index, tids), dtype=np.int64, count=len(tids))
+        except (OverflowError, TypeError):
+            bad = (t for t in tids if not hasattr(t, "__index__") or not INT64_MIN <= t <= INT64_MAX)
+            raise UnknownTid(f"TID {next(bad)} has no stock-lead-time row") from None
         rows = np.searchsorted(self._lead[:, 0], wanted)
         found = self._lead[np.minimum(rows, len(self._lead) - 1), 0] == wanted
         if not found.all():
@@ -275,9 +276,12 @@ def _table(rows, width: int, keys: int, label: str) -> tuple[np.ndarray, list[in
     """A table as an (n, width) int64 matrix sorted stably by its first
     ``keys`` columns, and the first key that repeats, or None."""
     try:
-        matrix = np.asarray(rows, dtype=np.int64)
+        with np.errstate(invalid="ignore"):
+            matrix = np.asarray(rows, dtype=np.int64)
     except OverflowError:
         raise ParseError(f"{label} table holds a value outside the int64 range") from None
+    if not np.array_equal(matrix, rows):  # a float or uint64 value casts without error
+        raise ParseError(f"{label} table holds a value that is not an int64 integer")
     if matrix.size and (matrix.ndim != 2 or matrix.shape[1] != width):
         raise DimensionMismatch(f"{label} table has shape {matrix.shape}, expected (n, {width})")
     matrix = matrix.reshape(-1, width)

@@ -77,30 +77,32 @@ def empty_match_candidate(
     return None
 
 
-def _empty_match_candidates(
+def enumerate_candidates(
     store: HistoryStore, config: PsoConfig
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """The empty-match vectors of the product ids the swarm can round to (the
-    bounded range united with the ids on record), ascending, and the ids without one."""
+    """All oracle candidates plus products lacking an empty-match vector.
+
+    Candidates are every record's own vector in TID order, then one
+    empty-match vector per product id the swarm can round to (the bounded
+    integer range united with the products actually on record), ascending.
+    """
+    candidates = list(zip(*store.history[:, 1:].T.tolist()))
     product_ids = sorted(
         set(store.products)
         | set(range(config.bounds.product_lb, config.bounds.product_ub + 1))
     )
-    found = [(pid, empty_match_candidate(store, pid, config)) for pid in product_ids]
-    return [c for _, c in found if c is not None], tuple(p for p, c in found if c is None)
-
-
-def enumerate_candidates(
-    store: HistoryStore, config: PsoConfig
-) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """All oracle candidates, every record's own vector in TID order and then
-    the empty-match vectors, plus the products lacking an empty-match vector."""
-    empties, skipped = _empty_match_candidates(store, config)
-    return list(zip(*store.history[:, 1:].T.tolist())) + empties, skipped
+    skipped = []
+    for pid in product_ids:
+        candidate = empty_match_candidate(store, pid, config)
+        if candidate is None:
+            skipped.append(pid)
+        else:
+            candidates.append(candidate)
+    return candidates, tuple(skipped)
 
 
 def _exact_match_fitness(
-    store: HistoryStore, evaluator: FitnessEvaluator, candidates: np.ndarray
+    store: HistoryStore, evaluator: FitnessEvaluator, candidates: list[tuple[int, ...]]
 ) -> np.ndarray:
     """Fitness of every candidate at radius 0, from one sort per product.
 
@@ -109,25 +111,19 @@ def _exact_match_fitness(
     record's P(occ) and matched lead time at once.  The empty-match vectors
     after the records match nothing.
     """
-    tids, occ, t_stock = [], [], []
+    occ = np.zeros(len(candidates), dtype=np.int64)
+    t_stock = np.zeros(len(candidates), dtype=np.int64)
     for pid in store.products:
         group_tids, levels, lead_sums = store.product_rows(pid)
-        _, inverse, counts = np.unique(
-            levels, axis=0, return_inverse=True, return_counts=True
-        )
-        inverse = inverse.reshape(-1)
-        lead = np.zeros(counts.size, dtype=np.int64)
-        np.add.at(lead, inverse, lead_sums)
-        tids.append(group_tids)
-        occ.append(counts[inverse])
-        t_stock.append(lead[inverse])
-    in_tid_order = np.argsort(np.concatenate(tids))
-    empties = np.zeros(len(candidates) - store.total_periods, dtype=np.int64)
-    return evaluator.score(
-        np.asarray(candidates, dtype=np.int64)[:, 0],
-        np.concatenate([np.concatenate(occ)[in_tid_order], empties]),
-        np.concatenate([np.concatenate(t_stock)[in_tid_order], empties]),
-    )
+        rows = levels.view(np.dtype((np.void, levels.strides[0])))[:, 0]
+        order = np.argsort(rows)  # sorting rows as bytes makes equal rows adjacent
+        ordered = levels[order]
+        starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+        counts = np.diff(np.r_[starts, len(order)])
+        at = np.searchsorted(store.history[:, 0], group_tids[order])  # a record's candidate row
+        occ[at] = np.repeat(counts, counts)
+        t_stock[at] = np.repeat(np.add.reduceat(lead_sums[order], starts), counts)
+    return evaluator.score(np.array([c[0] for c in candidates], dtype=np.int64), occ, t_stock)
 
 
 def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
@@ -140,8 +136,7 @@ def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
     """
     _check_log_domain(store, config)
     evaluator = FitnessEvaluator(store, config)
-    empties, skipped = _empty_match_candidates(store, config)
-    candidates = np.vstack([store.history[:, 1:], *empties])
+    candidates, skipped = enumerate_candidates(store, config)
     if config.match_radius == 0:
         fitness = _exact_match_fitness(store, evaluator, candidates)
     else:

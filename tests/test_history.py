@@ -1,6 +1,7 @@
 """Loading, cross-validation and box matching of the historical tables."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,11 @@ class TestLeadTimeQueries:
         with pytest.raises(UnknownTid, match=str(2**70)):
             store.stock_lead_time_total([1, 2**70])
 
+    @pytest.mark.parametrize("tid", [1.5, 2.0, "1", float("nan"), None, np.uint64(2**63)])
+    def test_tid_that_is_no_integer_is_unknown(self, store, tid):
+        with pytest.raises(UnknownTid, match=f"TID {tid} has"):
+            store.stock_lead_time_total([1, tid])
+
     def test_unknown_product_raw(self, store):
         with pytest.raises(MissingRawMaterial):
             store.raw_lead_time_total(6)
@@ -450,6 +456,10 @@ class TestOneConstructor:
             lambda h, s, r: (h, s + [(9, (1, 2, 3)), (8, (1,))], r),
             DimensionMismatch, "lead-time TID 8 has 1 link columns, expected 2",
         ),
+        "level-not-integer": (
+            lambda h, s, r: (h + [(4, 1, (0, 2.5, 0))], s, r),
+            ParseError, "history table holds a value that is not an int64 integer",
+        ),
         "level-past-int64": (
             lambda h, s, r: (h + [(4, 1, (0, 2**63, 0))], s, r),
             ParseError, "history table holds a value outside the int64 range",
@@ -462,6 +472,33 @@ class TestOneConstructor:
         topology, *rows = tiny_rows
         built = outcome(lambda: ss.HistoryStore.from_records(topology, *edit(*rows)))
         assert built == (error, message)
+
+    @pytest.mark.parametrize(
+        "table, value",
+        [
+            (0, 1e30),
+            (0, 2.7),
+            (0, np.uint64(2**63)),
+            (1, 1.5),
+            (2, -0.5),
+        ],
+    )
+    def test_constructor_rejects_non_int64_matrix(self, tiny_rows, table, value):
+        topology, history, leads, raws = tiny_rows
+        matrices = [
+            np.array([(t, p, *lv) for t, p, lv in history]),
+            np.array([(t, *lt) for t, lt in leads]),
+            np.array(raws),
+        ]
+        dtype = np.uint64 if isinstance(value, np.uint64) else np.float64
+        matrices[table] = matrices[table].astype(dtype)
+        matrices[table][-1, -1] = value
+        label = ("history", "stock-lead-time", "raw-material")[table]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(lambda: ss.HistoryStore(topology, *matrices)) == (
+                ParseError, f"{label} table holds a value that is not an int64 integer"
+            )
 
     @pytest.mark.parametrize(
         "cell, column", [("99999999999999999999", 3), (str(2**63), 0), (str(-(2**63) - 1), 4)]
