@@ -191,6 +191,14 @@ def weights_from_priorities(priorities: PriorityConfig) -> Weights:
 
 def round_half_away_from_zero(values: np.ndarray | list[float]) -> np.ndarray:
     """Round to integers with halves moving away from zero (0.5 -> 1,
-    -0.5 -> -1), the rule used for every table query and report."""
+    -0.5 -> -1), the rule used for every table query and report.
+
+    A value that is not finite or rounds outside int64 raises ConfigError.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(arr) + 0.5), arr).astype(np.int64)
+    rounded = np.copysign(np.floor(np.abs(arr) + 0.5), arr)
+    inside = (rounded >= INT64_MIN) & (rounded < 2.0**63)  # False for NaN
+    if not inside.all():
+        bad = float(arr[~inside][0])
+        raise ConfigError(f"position value {bad!r} is not finite or rounds outside the int64 range")
+    return rounded.astype(np.int64)

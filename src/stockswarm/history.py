@@ -237,9 +237,10 @@ class HistoryStore:
         ``levels`` on every member dimension.
 
         ``radius == 0`` is exact integer equality per dimension.  An empty
-        result is valid and common.
+        result is valid and common.  A level that is not an int64 integer
+        raises ConfigError.
         """
-        query = np.asarray(levels, dtype=np.int64)
+        query = _int64_array(levels, ConfigError, "query")
         if query.shape != (self._topology.member_count,):
             raise DimensionMismatch(
                 f"query has {query.size} stock entries, expected {self._topology.member_count}"
@@ -275,19 +276,28 @@ class HistoryStore:
 def _table(rows, width: int, keys: int, label: str) -> tuple[np.ndarray, list[int] | None]:
     """A table as an (n, width) int64 matrix sorted stably by its first
     ``keys`` columns, and the first key that repeats, or None."""
-    try:
-        with np.errstate(invalid="ignore"):
-            matrix = np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        raise ParseError(f"{label} table holds a value outside the int64 range") from None
-    if not np.array_equal(matrix, rows):  # a float or uint64 value casts without error
-        raise ParseError(f"{label} table holds a value that is not an int64 integer")
+    matrix = _int64_array(rows, ParseError, f"{label} table")
     if matrix.size and (matrix.ndim != 2 or matrix.shape[1] != width):
         raise DimensionMismatch(f"{label} table has shape {matrix.shape}, expected (n, {width})")
     matrix = matrix.reshape(-1, width)
     matrix = matrix[np.lexsort(matrix[:, keys - 1 :: -1].T)]
     repeats = np.flatnonzero((matrix[1:, :keys] == matrix[:-1, :keys]).all(axis=1))
     return matrix, (matrix[repeats[0], :keys].tolist() if repeats.size else None)
+
+
+def _int64_array(values, error: type[Exception], what: str) -> np.ndarray:
+    """``values`` as an int64 array; a value that is not an int64 integer
+    raises ``error``."""
+    try:
+        with np.errstate(invalid="ignore"):
+            array = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise error(f"{what} holds a value outside the int64 range") from None
+    except ValueError:  # NaN in a list
+        raise error(f"{what} holds a value that is not an int64 integer") from None
+    if not np.array_equal(array, values):  # a float or uint64 value casts without error
+        raise error(f"{what} holds a value that is not an int64 integer")
+    return array
 
 
 def _int64_sums(sums: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:

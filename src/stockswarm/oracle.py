@@ -12,6 +12,7 @@ record boxes become reachable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +47,12 @@ def empty_match_candidate(
     the matching radius from every recorded level of that product on that
     dimension; one such dimension is enough to defeat the box test.  The
     scan is deterministic: bound edges first, then the lowest qualifying
-    inter-record gap.  None means the product's records blanket every
-    dimension at this radius (only possible when the radius is large
-    relative to the stock range).
+    inter-record gap.  At radius 0, when every dimension is covered, the
+    first vector of the stock box in lexicographic order that no record
+    holds is taken instead.  None means, at radius 0, that the records hold
+    every vector of the box; at a larger radius, that no single dimension
+    escapes the records, though a vector escaping them on several
+    dimensions at once may still exist.
     """
     l = store.topology.member_count
     lb, ub = config.bounds.stock_lb, config.bounds.stock_ub
@@ -59,14 +63,14 @@ def empty_match_candidate(
         return (product_id,) + (filler,) * l
     _, matrix, _ = rows
     for dim in range(l):
-        values = np.unique(matrix[:, dim])
+        values = np.unique(matrix[:, dim]).tolist()  # Python ints: gaps never wrap
         chosen: int | None = None
         if values[0] - lb > radius:
             chosen = lb
         else:
             for a, b in zip(values, values[1:]):
                 if b - a > 2 * radius + 1:
-                    chosen = int(a) + radius + 1
+                    chosen = a + radius + 1
                     break
             if chosen is None and ub - values[-1] > radius:
                 chosen = ub
@@ -74,35 +78,40 @@ def empty_match_candidate(
             levels = [filler] * l
             levels[dim] = chosen
             return (product_id, *levels)
+    if radius == 0:
+        # Every dimension holds each box value, so the box is at most
+        # records wide, and the walk meets a free vector within records + 1
+        # steps or ends having found every vector recorded.
+        recorded = set(map(tuple, matrix.tolist()))
+        for levels in itertools.product(range(lb, ub + 1), repeat=l):
+            if levels not in recorded:
+                return (product_id, *levels)
     return None
 
 
 def enumerate_candidates(
     store: HistoryStore, config: PsoConfig
-) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """All oracle candidates plus products lacking an empty-match vector.
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """An (n, l + 1) int64 matrix of all oracle candidates, and the products
+    lacking an empty-match vector.
 
-    Candidates are every record's own vector in TID order, then one
-    empty-match vector per product id the swarm can round to (the bounded
-    integer range united with the products actually on record), ascending.
+    Rows are every record's own vector in TID order, then one empty-match
+    vector per product id the swarm can round to (the bounded integer range
+    united with the products actually on record), ascending.
     """
-    candidates = list(zip(*store.history[:, 1:].T.tolist()))
     product_ids = sorted(
         set(store.products)
         | set(range(config.bounds.product_lb, config.bounds.product_ub + 1))
     )
-    skipped = []
-    for pid in product_ids:
-        candidate = empty_match_candidate(store, pid, config)
-        if candidate is None:
-            skipped.append(pid)
-        else:
-            candidates.append(candidate)
-    return candidates, tuple(skipped)
+    found = {pid: empty_match_candidate(store, pid, config) for pid in product_ids}
+    empty = [candidate for candidate in found.values() if candidate is not None]
+    empty = np.array(empty, dtype=np.int64).reshape(-1, store.history.shape[1] - 1)
+    skipped = tuple(pid for pid, candidate in found.items() if candidate is None)
+    return np.vstack([store.history[:, 1:], empty]), skipped
 
 
 def _exact_match_fitness(
-    store: HistoryStore, evaluator: FitnessEvaluator, candidates: list[tuple[int, ...]]
+    store: HistoryStore, evaluator: FitnessEvaluator, candidates: np.ndarray
 ) -> np.ndarray:
     """Fitness of every candidate at radius 0, from one sort per product.
 
@@ -123,7 +132,7 @@ def _exact_match_fitness(
         at = np.searchsorted(store.history[:, 0], group_tids[order])  # a record's candidate row
         occ[at] = np.repeat(counts, counts)
         t_stock[at] = np.repeat(np.add.reduceat(lead_sums[order], starts), counts)
-    return evaluator.score(np.array([c[0] for c in candidates], dtype=np.int64), occ, t_stock)
+    return evaluator.score(candidates[:, 0], occ, t_stock)
 
 
 def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
@@ -140,7 +149,7 @@ def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
     if config.match_radius == 0:
         fitness = _exact_match_fitness(store, evaluator, candidates)
     else:
-        positions = np.array(candidates, dtype=np.float64)
+        positions = candidates.astype(np.float64)
         fitness = np.concatenate(
             [
                 evaluator.evaluate_batch(positions[i : i + BATCH_SIZE])
@@ -149,7 +158,7 @@ def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
         )
     best = int(np.argmin(fitness))  # argmin takes the earliest on ties
     return OracleResult(
-        best_position=tuple(int(v) for v in candidates[best]),
+        best_position=tuple(candidates[best].tolist()),
         best_fitness=float(fitness[best]),
         evaluations=len(candidates),
         skipped_products=skipped,

@@ -261,6 +261,40 @@ class TestOracleCommand:
         body = json.loads(capsys.readouterr().out)
         assert "best_fitness" in body and "best_position" in body
 
+    def test_empty_match_vector_at_int64_extremes(self, tmp_path, capsys):
+        # One product-1 period at 2**62 on every member; the lower stock bound
+        # lies 2**63 below it, which an int64 gap scan wraps.
+        far = 2**62
+        files = {
+            "stock_history.csv": f"TID,PI,F1,F2,F3,F4,F5,F6,F7\n1,1{f',{far}' * 7}\n",
+            "stock_lead_times.csv": "TID,T1,T2,T3,T4,T5,T6\n1,1,2,3,4,5,6\n",
+            "raw_material_lead_times.csv": "PI,RM,T\n1,1,7\n1,2,9\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        conf = tmp_path / "far.conf"
+        conf.write_text(
+            "match_radius = 0\nproduct_lb = 1\nproduct_ub = 1\n"
+            f"stock_lb = {-far}\nstock_ub = {far}\n"
+        )
+        out = tmp_path / "orc"
+        code = main([
+            "oracle", "--config", str(conf), "--out", str(out),
+            "--history", str(tmp_path / "stock_history.csv"),
+            "--stock-lead", str(tmp_path / "stock_lead_times.csv"),
+            "--raw-lead", str(tmp_path / "raw_material_lead_times.csv"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        body = json.loads((out / "oracle.json").read_text())
+        assert body["skipped_products"] == []
+        assert body["evaluations"] == 2
+        assert body["best_position"] == [1, -far, 0, 0, 0, 0, 0, 0]
+        store = ss.load_store(*(tmp_path / name for name in files), ss.Topology())
+        config = build_pso_config(parse_settings(conf), seed=0)
+        assert body["best_fitness"] == ss.evaluate(store, config, body["best_position"])
+        assert body["best_fitness"] < ss.evaluate(store, config, [1] + [far] * 7)
+
 
 @pytest.mark.parametrize("command", ["optimize", "oracle"])
 def test_raw_total_past_int64_exit_2(tmp_path, paths, capsys, command):

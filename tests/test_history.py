@@ -464,6 +464,10 @@ class TestOneConstructor:
             lambda h, s, r: (h + [(4, 1, (0, 2**63, 0))], s, r),
             ParseError, "history table holds a value outside the int64 range",
         ),
+        "level-nan": (
+            lambda h, s, r: (h + [(4, 1, (0, float("nan"), 0))], s, r),
+            ParseError, "history table holds a value that is not an int64 integer",
+        ),
     }
 
     @pytest.mark.parametrize("defect", list(ROW_DEFECTS))

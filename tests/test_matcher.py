@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stockswarm as ss
-from stockswarm.errors import DimensionMismatch
+from stockswarm.errors import ConfigError, DimensionMismatch
 
 TID1_POSITION = [3, 632, 424, 247, -298, -115, 365, 961]
 
@@ -26,7 +26,8 @@ def reference_match(store, product_id, levels, radius):
         if r.product_id == product_id
         and all(abs(v - q) <= radius for v, q in zip(r.levels, levels))
     ]
-    return tids, store.stock_lead_time_total(tids)
+    link_days = {r.tid: sum(r.link_times) for r in store.lead_records}
+    return tids, sum(link_days[t] for t in tids)
 
 
 def reference_fitness(store, evaluator, positions, radius):
@@ -143,6 +144,39 @@ class TestFixture:
         want = reference_fitness(store, evaluator, batch.tolist(), 50)
         assert hexes(evaluator.evaluate_batch(batch)) == hexes(want)
         assert hexes(evaluator.evaluate(row) for row in batch) == hexes(want)
+
+
+class TestQueriesOutsideInt64:
+    @pytest.mark.parametrize(
+        "level",
+        [1e30, -1e30, math.inf, math.nan, 2.0**63],
+        ids=["1e30", "-1e30", "inf", "nan", "2**63"],
+    )
+    def test_evaluate_rejects_position(self, store, level):
+        evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=0))
+        with pytest.raises(ConfigError, match="int64"):
+            evaluator.evaluate([1, level, 0, 0, 0, 0, 0, 0])
+        batch = np.ones((2, 8))
+        batch[1, 1] = level
+        with pytest.raises(ConfigError, match="int64"):
+            evaluator.evaluate_batch(batch)
+
+    def test_evaluate_accepts_int64_edges(self, store):
+        evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=0))
+        unmatched = evaluator.score(np.array([1]), np.array([0]), np.array([0]))
+        for level in (-(2.0**63), 2.0**63 - 1024):  # the extreme float64 values inside int64
+            assert hexes([evaluator.evaluate([1, level, 0, 0, 0, 0, 0, 0])]) == hexes(unmatched)
+
+    @pytest.mark.parametrize(
+        "levels",
+        [[2**70] * 7, [math.nan] * 7, [632.5, 424, 247, -298, -115, 365, 961]],
+        ids=["2**70", "nan", "632.5"],
+    )
+    def test_match_individual_rejects_level(self, store, levels):
+        with pytest.raises(ConfigError, match="int64"):
+            store.match_individual(3, levels, 0)
+        with pytest.raises(ConfigError, match="int64"):
+            store.match_individual(3, np.array(levels, dtype=np.float64), 0)
 
 
 # Levels near +-2**62: a query and a record can lie 2**63 or more apart, which

@@ -1,5 +1,7 @@
 """Enumeration baseline: candidate set, minimum, lower-bound property."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,13 +34,13 @@ SMALL_BOUNDS = dict(product_lb=1, stock_lb=-3, stock_ub=3)
 
 
 @st.composite
-def small_stores(draw):
-    """A 3-member store over a tight level range, with forced duplicate rows.
+def small_stores(draw, span=3):
+    """A 3-member store with levels in [-span, span], with forced duplicate rows.
 
     Products 1..4 may occur; rows are repeated verbatim and then shuffled
     across TIDs, so equal level rows interleave with other products.
     """
-    levels = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3)
+    levels = st.tuples(*[st.integers(min_value=-span, max_value=span)] * 3)
     rows = draw(
         st.lists(st.tuples(st.integers(min_value=1, max_value=4), levels), min_size=1, max_size=10)
     )
@@ -81,6 +83,85 @@ class TestAgainstReference:
         grouped = oracle._exact_match_fitness(store, evaluator, candidates)
         scanned = [evaluator.evaluate(np.asarray(c, dtype=np.float64)) for c in candidates]
         assert [float(f).hex() for f in grouped] == [f.hex() for f in scanned]
+
+
+class TestBruteForceBound:
+    """The radius-0 minimum against every integer vector the swarm can round
+    to, each scored by ``evaluate_batch``; no candidate enumeration involved."""
+
+    # Span 1 lets three records of a product cover every level on every member.
+    @pytest.mark.parametrize("span", [1, 3])
+    @given(
+        data=st.data(),
+        product_ub=st.integers(min_value=1, max_value=4),
+        priorities=st.sampled_from([(10.0, 5.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 3.0)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lower_bound_over_whole_box(self, span, data, product_ub, priorities):
+        store = data.draw(small_stores(span))
+        cfg = ss.PsoConfig(
+            match_radius=0,
+            bounds=ss.Bounds(product_lb=1, product_ub=product_ub, stock_lb=-span, stock_ub=span),
+            priorities=ss.PriorityConfig(*priorities),
+        )
+        box = itertools.product(range(1, product_ub + 1), *[range(-span, span + 1)] * 3)
+        evaluator = ss.FitnessEvaluator(store, cfg)
+        brute = evaluator.evaluate_batch(np.array(list(box), dtype=np.float64)).min()
+        result = ss.oracle_minimum(store, cfg)
+        assert result.best_fitness <= brute
+        if max(store.products) <= product_ub:  # then every candidate is reachable
+            assert result.best_fitness.hex() == float(brute).hex()
+
+    def test_covered_box_has_empty_match_vector(self):
+        # Every member records each of -1, 0 and 1, but 24 of the 27 vectors
+        # of the box match nothing; the first of them in lexicographic order
+        # is taken.
+        history = [(1, 1, (-1, -1, -1)), (2, 1, (0, 0, 0)), (3, 1, (1, 1, 1))]
+        leads = [(tid, (4, 6)) for tid in (1, 2, 3)]
+        store = ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, [(1, 1, 10)])
+        cfg = ss.PsoConfig(
+            match_radius=0,
+            bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-1, stock_ub=1),
+            priorities=ss.PriorityConfig(0.0, 1.0, 1.0),
+        )
+        assert ss.empty_match_candidate(store, 1, cfg) == (1, -1, -1, 0)
+        result = ss.oracle_minimum(store, cfg)
+        assert result.skipped_products == ()
+        assert result.best_position == (1, -1, -1, 0)
+        assert result.best_fitness == ss.evaluate(store, cfg, [1, -1, -1, 0])
+        assert result.best_fitness == pytest.approx(np.log(5.0))
+        assert ss.evaluate(store, cfg, [1, 0, 0, 0]) == pytest.approx(np.log(10.0))
+
+    def test_fully_recorded_box_skips_product(self):
+        vectors = list(itertools.product((0, 1), repeat=3))
+        history = [(tid, 1, v) for tid, v in enumerate(vectors, start=1)]
+        leads = [(tid, (1, 1)) for tid, _, _ in history]
+        store = ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, [(1, 1, 10)])
+        cfg = ss.PsoConfig(
+            match_radius=0, bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=0, stock_ub=1)
+        )
+        assert ss.empty_match_candidate(store, 1, cfg) is None
+        result = ss.oracle_minimum(store, cfg)
+        assert result.skipped_products == (1,)
+        assert result.evaluations == 8
+
+    def test_empty_match_scan_at_int64_extremes(self):
+        # The record and the lower stock bound lie 2**63 apart, a gap that
+        # wraps negative in int64.
+        far = 2**62
+        store = ss.HistoryStore.from_records(
+            SMALL_TOPOLOGY, [(1, 1, (far,) * 3)], [(1, (2, 3))], [(1, 1, 4)]
+        )
+        cfg = ss.PsoConfig(
+            match_radius=0,
+            bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-far, stock_ub=far),
+        )
+        assert ss.empty_match_candidate(store, 1, cfg) == (1, -far, 0, 0)
+        result = ss.oracle_minimum(store, cfg)
+        assert result.skipped_products == ()
+        assert result.best_position == (1, -far, 0, 0)
+        assert result.best_fitness == ss.evaluate(store, cfg, [1, -far, 0, 0])
+        assert result.best_fitness < ss.evaluate(store, cfg, [1, far, far, far])
 
 
 class TestTieRule:
@@ -158,7 +239,7 @@ class TestEnumeration:
         assert len(candidates) == 20 + 5
         assert skipped == ()
         for record, candidate in zip(store.records, candidates[:20]):
-            assert candidate == (record.product_id, *record.levels)
+            assert tuple(candidate.tolist()) == (record.product_id, *record.levels)
 
     def test_single_record_store(self, tiny_rows):
         topology, _, leads, raws = tiny_rows
