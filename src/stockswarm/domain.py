@@ -179,13 +179,7 @@ class Weights:
 
 def weights_from_priorities(priorities: PriorityConfig) -> Weights:
     """Convert priority levels to normalized weights w_k = r_k / sum."""
-    total = priorities.r1 + priorities.r2 + priorities.r3
-    if total == 0.0:
-        raise ZeroPrioritySum("all priorities are zero; weights undefined")
-    if priorities.r2 + priorities.r3 == 0.0:
-        raise DegenerateLeadTimeWeights(
-            "both lead-time priorities are zero; fitness log term would be log(0)"
-        )
+    total = priorities.r1 + priorities.r2 + priorities.r3  # positive: PriorityConfig checks it
     return Weights(priorities.r1 / total, priorities.r2 / total, priorities.r3 / total)
 
 
@@ -193,9 +187,17 @@ def round_half_away_from_zero(values: np.ndarray | list[float]) -> np.ndarray:
     """Round to integers with halves moving away from zero (0.5 -> 1,
     -0.5 -> -1), the rule used for every table query and report.
 
-    A value that is not finite or rounds outside int64 raises ConfigError.
+    Integer arrays come back as int64 unchanged; anything else is rounded in
+    float64.  A value that is not finite or outside int64 raises ConfigError.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype == object and any(  # Python ints past int64 make an object array
+        isinstance(v, int) and not INT64_MIN <= v <= INT64_MAX for v in arr.flat
+    ):
+        raise ConfigError("position holds an integer outside the int64 range")
+    arr = arr.astype(np.float64)
     rounded = np.copysign(np.floor(np.abs(arr) + 0.5), arr)
     inside = (rounded >= INT64_MIN) & (rounded < 2.0**63)  # False for NaN
     if not inside.all():

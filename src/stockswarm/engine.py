@@ -227,7 +227,7 @@ class FitnessEvaluator:
 
     def evaluate(self, position: Sequence[float]) -> float:
         """Fitness of one position: ``evaluate_batch`` on a batch of one."""
-        return float(self.evaluate_batch(np.asarray(position, dtype=np.float64)[None])[0])
+        return float(self.evaluate_batch(np.asarray(position)[None])[0])
 
     def evaluate_batch(self, positions: np.ndarray) -> np.ndarray:
         """Fitness of each row of an (n, d) position matrix."""

@@ -44,6 +44,10 @@ __all__ = [
     "load_store",
 ]
 
+# Record comparisons (queries x records x members) per box test at radius > 0:
+# about one default swarm against a 4,000-record product of 7 members.
+_BOX_TEST_COMPARISONS = 2**20
+
 
 @dataclass(frozen=True)
 class HistoryRecord:
@@ -200,35 +204,52 @@ class HistoryStore:
         has no records."""
         return self._by_product.get(int(product_id))
 
-    def _box_hits(
-        self, product_id: int, queries: np.ndarray, radius: int
-    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-        """The product's index entry (empty without records), and a (queries,
-        records) matrix that is True where a record lies within ``radius`` of
-        a query on every member."""
+    @cached_property
+    def _level_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per product: its distinct level rows as sorted byte strings, and each
+        one's record count and summed lead time; built on the first radius-0 query."""
+        groups = {}
+        for pid, (_, levels, lead_sums) in self._by_product.items():
+            rows = _row_bytes(levels)
+            order = np.argsort(rows)  # sorting rows as bytes makes equal rows adjacent
+            rows = rows[order]
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            counts = np.diff(np.r_[starts, len(rows)])
+            groups[pid] = (rows[starts], counts, np.add.reduceat(lead_sums[order], starts))
+        return groups
+
+    def _entry(self, product_id: int, queries: np.ndarray, radius: int) -> tuple[np.ndarray, ...]:
+        """The product's index entry (empty without records), once ``radius``
+        and the (n, members) shape of ``queries`` are checked."""
         if radius < 0:
             raise ConfigError(f"matching radius must be non-negative, got {radius}")
         members = self._topology.member_count
         if queries.ndim != 2 or queries.shape[1] != members:
-            raise DimensionMismatch(
-                f"queries have shape {queries.shape}, expected (n, {members})"
-            )
-        entry = self._by_product.get(int(product_id), self._no_records)
-        # q -/+ radius, saturated: flipping the sign bit maps int64 onto uint64 in order.
-        sign = np.uint64(2**63)
-        shifted = queries.astype(np.int64, copy=False).view(np.uint64) ^ sign
-        r = np.uint64(min(radius, 2**64 - 1))
-        low = ((shifted - np.minimum(shifted, r)) ^ sign).view(np.int64)[:, None, :]
-        high = ((shifted + np.minimum(~shifted, r)) ^ sign).view(np.int64)[:, None, :]
-        return entry, ((entry[1] >= low) & (entry[1] <= high)).all(axis=2)
+            raise DimensionMismatch(f"queries have shape {queries.shape}, expected (n, {members})")
+        return self._by_product.get(int(product_id), self._no_records)
 
     def match_counts(
         self, product_id: int, queries: np.ndarray, radius: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """P(occ) and the summed lead time of the matched records for each row
-        of an (n, members) int64 matrix of level queries on one product."""
-        (_, _, lead_sums), hits = self._box_hits(product_id, queries, radius)
-        return hits.sum(axis=1), hits @ lead_sums
+        of an (n, members) int64 matrix of level queries on one product.
+
+        Radius 0 looks each row up among the product's distinct level rows; a
+        larger radius box-tests the records, a chunk of queries at a time.
+        """
+        _, levels, lead_sums = self._entry(product_id, queries, radius)
+        if radius == 0 and len(levels):  # a product without records has no groups
+            rows, counts, sums = self._level_groups[int(product_id)]
+            wanted = _row_bytes(queries)
+            at = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
+            found = rows[at] == wanted
+            return np.where(found, counts[at], 0), np.where(found, sums[at], 0)
+        occ, t_stock = np.zeros((2, len(queries)), dtype=np.int64)
+        step = max(1, _BOX_TEST_COMPARISONS // max(1, levels.size))
+        for i in range(0, len(queries), step):
+            hits = _box_hits(levels, queries[i : i + step], radius)
+            occ[i : i + step], t_stock[i : i + step] = hits.sum(axis=1), hits @ lead_sums
+        return occ, t_stock
 
     def match_individual(
         self, product_id: int, levels: Sequence[int], radius: int
@@ -245,8 +266,8 @@ class HistoryStore:
             raise DimensionMismatch(
                 f"query has {query.size} stock entries, expected {self._topology.member_count}"
             )
-        (tids, _, _), hits = self._box_hits(product_id, query[None, :], radius)
-        matched = tuple(int(t) for t in tids[hits[0]])
+        tids, rows, _ = self._entry(product_id, query[None, :], radius)
+        matched = tuple(int(t) for t in tids[_box_hits(rows, query[None, :], radius)[0]])
         return MatchResult(matched, len(matched))
 
     def stock_lead_time_total(self, tids: Iterable[int]) -> int:
@@ -271,6 +292,24 @@ class HistoryStore:
             raise MissingRawMaterial(
                 f"product {product_id} has no raw-material rows"
             ) from None
+
+
+def _box_hits(levels: np.ndarray, queries: np.ndarray, radius: int) -> np.ndarray:
+    """A (queries, records) matrix that is True where a record's level row
+    lies within ``radius`` of a query on every member."""
+    # q -/+ radius, saturated: flipping the sign bit maps int64 onto uint64 in order.
+    sign = np.uint64(2**63)
+    shifted = queries.astype(np.int64, copy=False).view(np.uint64) ^ sign
+    r = np.uint64(min(radius, 2**64 - 1))
+    low = ((shifted - np.minimum(shifted, r)) ^ sign).view(np.int64)[:, None, :]
+    high = ((shifted + np.minimum(~shifted, r)) ^ sign).view(np.int64)[:, None, :]
+    return ((levels >= low) & (levels <= high)).all(axis=2)
+
+
+def _row_bytes(matrix: np.ndarray) -> np.ndarray:
+    """Each row of an int64 matrix as one byte string, equal for equal rows."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.int64)
+    return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1])))[:, 0]
 
 
 def _table(rows, width: int, keys: int, label: str) -> tuple[np.ndarray, list[int] | None]:

@@ -22,11 +22,6 @@ from .history import HistoryStore
 
 __all__ = ["OracleResult", "empty_match_candidate", "enumerate_candidates", "oracle_minimum"]
 
-# Candidates per evaluate_batch call at radius > 0: about one default swarm,
-# so the batch kernel's (queries, rows, members) broadcast stays as large as
-# in an optimize run.
-BATCH_SIZE = 32
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -47,9 +42,10 @@ def empty_match_candidate(
     the matching radius from every recorded level of that product on that
     dimension; one such dimension is enough to defeat the box test.  The
     scan is deterministic: bound edges first, then the lowest qualifying
-    inter-record gap.  At radius 0, when every dimension is covered, the
-    first vector of the stock box in lexicographic order that no record
-    holds is taken instead.  None means, at radius 0, that the records hold
+    inter-record gap; only recorded values within the radius of the stock
+    box take part, so the chosen level lies in the box.  At radius 0, when
+    every dimension is covered, the first vector of the stock box in
+    lexicographic order that no record holds is taken instead.  None means, at radius 0, that the records hold
     every vector of the box; at a larger radius, that no single dimension
     escapes the records, though a vector escaping them on several
     dimensions at once may still exist.
@@ -64,8 +60,9 @@ def empty_match_candidate(
     _, matrix, _ = rows
     for dim in range(l):
         values = np.unique(matrix[:, dim]).tolist()  # Python ints: gaps never wrap
+        values = [v for v in values if lb - radius <= v <= ub + radius]  # those near the box
         chosen: int | None = None
-        if values[0] - lb > radius:
+        if not values or values[0] - lb > radius:
             chosen = lb
         else:
             for a, b in zip(values, values[1:]):
@@ -110,52 +107,13 @@ def enumerate_candidates(
     return np.vstack([store.history[:, 1:], empty]), skipped
 
 
-def _exact_match_fitness(
-    store: HistoryStore, evaluator: FitnessEvaluator, candidates: np.ndarray
-) -> np.ndarray:
-    """Fitness of every candidate at radius 0, from one sort per product.
-
-    At radius 0 a record's own vector matches exactly the records of its
-    product with equal levels, so grouping equal level rows gives every
-    record's P(occ) and matched lead time at once.  The empty-match vectors
-    after the records match nothing.
-    """
-    occ = np.zeros(len(candidates), dtype=np.int64)
-    t_stock = np.zeros(len(candidates), dtype=np.int64)
-    for pid in store.products:
-        group_tids, levels, lead_sums = store.product_rows(pid)
-        rows = levels.view(np.dtype((np.void, levels.strides[0])))[:, 0]
-        order = np.argsort(rows)  # sorting rows as bytes makes equal rows adjacent
-        ordered = levels[order]
-        starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-        counts = np.diff(np.r_[starts, len(order)])
-        at = np.searchsorted(store.history[:, 0], group_tids[order])  # a record's candidate row
-        occ[at] = np.repeat(counts, counts)
-        t_stock[at] = np.repeat(np.add.reduceat(lead_sums[order], starts), counts)
-    return evaluator.score(candidates[:, 0], occ, t_stock)
-
-
 def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
-    """Score every candidate and return the minimum.
-
-    Radius 0 scores all candidates from one sort per product; a larger
-    radius scores them ``BATCH_SIZE`` at a time with ``evaluate_batch``,
-    which is still quadratic in the history length.  Ties keep the earliest
-    candidate, so the result is deterministic and independent of any seed.
-    """
+    """Score the candidate matrix with one ``evaluate_batch`` call and return
+    the minimum.  Ties keep the earliest candidate, so the result is
+    deterministic and independent of any seed."""
     _check_log_domain(store, config)
-    evaluator = FitnessEvaluator(store, config)
     candidates, skipped = enumerate_candidates(store, config)
-    if config.match_radius == 0:
-        fitness = _exact_match_fitness(store, evaluator, candidates)
-    else:
-        positions = candidates.astype(np.float64)
-        fitness = np.concatenate(
-            [
-                evaluator.evaluate_batch(positions[i : i + BATCH_SIZE])
-                for i in range(0, len(positions), BATCH_SIZE)
-            ]
-        )
+    fitness = FitnessEvaluator(store, config).evaluate_batch(candidates)
     best = int(np.argmin(fitness))  # argmin takes the earliest on ties
     return OracleResult(
         best_position=tuple(candidates[best].tolist()),

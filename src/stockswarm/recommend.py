@@ -92,7 +92,7 @@ def interpret(
     The keyword arguments carry run provenance into the report; they default
     to unknown so a bare position can be interpreted on its own.
     """
-    position = np.asarray(best_position, dtype=np.float64)
+    position = np.asarray(best_position)
     if position.shape != (topology.member_count + 1,):
         raise DimensionMismatch(
             f"position has {position.size} entries, expected {topology.member_count + 1}"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -294,6 +295,91 @@ class TestOracleCommand:
         config = build_pso_config(parse_settings(conf), seed=0)
         assert body["best_fitness"] == ss.evaluate(store, config, body["best_position"])
         assert body["best_fitness"] < ss.evaluate(store, config, [1] + [far] * 7)
+
+    def _three_member_oracle(self, tmp_path, history_rows, settings):
+        """Run ``oracle`` on a 3-member chain whose periods all have link
+        times (2, 3) and whose product 1 has raw-material time 5."""
+        history = "".join(f"{tid},1,{levels}\n" for tid, levels in enumerate(history_rows, 1))
+        files = {
+            "stock_history.csv": "TID,PI,F1,F2,F3\n" + history,
+            "stock_lead_times.csv": "TID,T1,T2\n"
+            + "".join(f"{tid},2,3\n" for tid in range(1, len(history_rows) + 1)),
+            "raw_material_lead_times.csv": "PI,RM,T\n1,1,5\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        conf = tmp_path / "three.conf"
+        conf.write_text(
+            "member_count = 3\ndc_count = 1\nagents_per_dc = 1\n"
+            "product_lb = 1\nproduct_ub = 1\n" + settings
+        )
+        code = main([
+            "oracle", "--config", str(conf), "--out", str(tmp_path / "orc"),
+            "--history", str(tmp_path / "stock_history.csv"),
+            "--stock-lead", str(tmp_path / "stock_lead_times.csv"),
+            "--raw-lead", str(tmp_path / "raw_material_lead_times.csv"),
+        ])
+        settings = parse_settings(conf)
+        store = ss.load_store(*(tmp_path / name for name in files), build_topology(settings))
+        return code, tmp_path / "orc" / "oracle.json", store, build_pso_config(settings, seed=0)
+
+    def test_record_at_int64_max(self, tmp_path, capsys):
+        code, body, store, config = self._three_member_oracle(
+            tmp_path, [f"{2**63 - 1},0,0"], "match_radius = 1\nstock_lb = -3\nstock_ub = 3\n"
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        body = json.loads(body.read_text())
+        assert body["evaluations"] == 2
+        assert body["best_position"] == [1, -3, 0, 0]
+        assert body["best_fitness"] == ss.evaluate(store, config, body["best_position"])
+        assert body["best_fitness"] < ss.evaluate(store, config, [1, 2**63 - 1, 0, 0])
+
+    def test_records_past_2_to_53(self, tmp_path, capsys):
+        big = 2**60 + 100
+        code, body, store, config = self._three_member_oracle(
+            tmp_path, [f"{big},0,0", f"{big + 1},0,0"], "match_radius = 1\nr1 = 10\nr2 = 0\nr3 = 1\n"
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        body = json.loads(body.read_text())
+        assert body["best_position"] == [1, big, 0, 0]
+        assert body["best_fitness"] == pytest.approx(math.log(5 / 11))  # both records match
+        assert store.match_individual(1, [big, 0, 0], 1).occurrences == 2
+
+
+# sha256 of the bundled fixture's seed-0 output files.  A change to the
+# fitness values, the seeded trajectory or the report and manifest layout
+# shows here, and needs its own stated reason.
+PINNED_OUTPUTS = {
+    "optimize": {
+        "report.txt": "fd39e8927212408648712c12f7415b871c1a133acbe07bce9b25711bb1f922d6",
+        "report.json": "4baf9ac96f4a5c1b1100d714ffe9f4c1e23e9e5aa0c29e83a92e569f1618e32a",
+        "manifest.json": "8727faf5df1cf610190a619a8c433656ca9c55d397b604b833c101677551e8b1",
+    },
+    "oracle": {
+        "oracle.json": "05cb90721b06229d7106a7172b7f33ed2ea39d9c19ff5986112b5fc996126099",
+        "manifest.json": "8727faf5df1cf610190a619a8c433656ca9c55d397b604b833c101677551e8b1",
+    },
+    "oracle-radius-0": {
+        "oracle.json": "ba54bf3ff0f06926de5156f1fd208ff9d126e59249de7ca725bd3b0cd78368b7",
+        "manifest.json": "0881807fe6ba0f4ca2cc0da630eac9fdbf8fcf9eb5b5e4a1c0083491bc204ed0",
+    },
+}
+
+
+@pytest.mark.parametrize("job", sorted(PINNED_OUTPUTS))
+def test_fixture_output_bytes_pinned(tmp_path, job):
+    argv = [job.split("-")[0], "--seed", "0", "--out", str(tmp_path / "out")]
+    if job == "oracle-radius-0":
+        (tmp_path / "zero.conf").write_text("match_radius = 0\n")
+        argv += ["--config", str(tmp_path / "zero.conf")]
+    assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in PINNED_OUTPUTS[job]
+    }
+    assert digests == PINNED_OUTPUTS[job]
 
 
 @pytest.mark.parametrize("command", ["optimize", "oracle"])

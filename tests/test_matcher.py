@@ -6,12 +6,14 @@ box test in ``HistoryStore``; the reference below is a plain loop over
 """
 
 import math
+import numbers
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import stockswarm as ss
+from stockswarm import history
 from stockswarm.errors import ConfigError, DimensionMismatch
 
 TID1_POSITION = [3, 632, 424, 247, -298, -115, 365, 961]
@@ -30,11 +32,18 @@ def reference_match(store, product_id, levels, radius):
     return tids, sum(link_days[t] for t in tids)
 
 
+def reference_round(x):
+    """Half away from zero; an integer stays exact."""
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    return int(math.copysign(math.floor(abs(x) + 0.5), x))
+
+
 def reference_fitness(store, evaluator, positions, radius):
     """Fitness of each position, matched by ``reference_match``."""
     pids, occ, t_stock = [], [], []
     for position in positions:
-        rounded = [int(math.copysign(math.floor(abs(x) + 0.5), x)) for x in position]
+        rounded = [reference_round(x) for x in position]
         tids, lead = reference_match(store, rounded[0], rounded[1:], radius)
         pids.append(rounded[0])
         occ.append(len(tids))
@@ -96,6 +105,18 @@ class TestAgainstReference:
         tids, _ = reference_match(store, query[0], query[1:], radius)
         assert list(got.tids) == tids
         assert got.occurrences == len(tids)
+
+    @pytest.mark.parametrize("comparisons", [1, 10, 40])
+    @given(store=small_stores(), batch=positions)
+    @settings(max_examples=40, deadline=None)
+    def test_evaluate_batch_across_box_test_chunks(self, comparisons, store, batch):
+        # The chunk size is comparisons // (records * members) queries, at
+        # least one, so a tiny budget splits every product's queries.
+        evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=1))
+        want = reference_fitness(store, evaluator, batch, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(history, "_BOX_TEST_COMPARISONS", comparisons)
+            assert hexes(evaluator.evaluate_batch(np.array(batch))) == hexes(want)
 
     @given(store=small_stores(), query=queries)
     @settings(max_examples=30, deadline=None)
@@ -168,6 +189,14 @@ class TestQueriesOutsideInt64:
             assert hexes([evaluator.evaluate([1, level, 0, 0, 0, 0, 0, 0])]) == hexes(unmatched)
 
     @pytest.mark.parametrize(
+        "level", [2**63, -(2**63) - 1, 2**70, 2**2000], ids=["2**63", "-2**63-1", "2**70", "2**2000"]
+    )
+    def test_evaluate_rejects_python_int(self, store, level):
+        evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=0))
+        with pytest.raises(ConfigError, match="int64"):
+            evaluator.evaluate([1, level, 0, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize(
         "levels",
         [[2**70] * 7, [math.nan] * 7, [632.5, 424, 247, -298, -115, 365, 961]],
         ids=["2**70", "nan", "632.5"],
@@ -177,6 +206,30 @@ class TestQueriesOutsideInt64:
             store.match_individual(3, levels, 0)
         with pytest.raises(ConfigError, match="int64"):
             store.match_individual(3, np.array(levels, dtype=np.float64), 0)
+
+
+class TestIntegerPositions:
+    # Two records 2**60 + 100 and 2**60 + 101 apart from zero: float64 holds
+    # neither, and rounds both to 2**60.
+    BIG = 2**60 + 100
+
+    def far_store(self):
+        history = [(1, 1, (self.BIG, 0, 0)), (2, 1, (self.BIG + 1, 0, 0))]
+        return ss.HistoryStore.from_records(
+            SMALL_TOPOLOGY, history, [(1, (2, 3)), (2, (4, 5))], [(1, 1, 5)]
+        )
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_integer_position_is_exact_past_2_to_53(self, radius):
+        store = self.far_store()
+        evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=radius))
+        position = (1, self.BIG, 0, 0)
+        assert store.match_individual(1, position[1:], radius).tids == (1, 2)[: radius + 1]
+        want = reference_fitness(store, evaluator, [position], radius)
+        unmatched = evaluator.score(np.array([1]), np.array([0]), np.array([0]))
+        assert hexes(want) != hexes(unmatched)
+        assert hexes([evaluator.evaluate(position)]) == hexes(want)
+        assert hexes(evaluator.evaluate_batch(np.array([position]))) == hexes(want)
 
 
 # Levels near +-2**62: a query and a record can lie 2**63 or more apart, which

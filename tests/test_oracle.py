@@ -1,29 +1,28 @@
 """Enumeration baseline: candidate set, minimum, lower-bound property."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_matcher import hexes, reference_fitness
 
 import stockswarm as ss
-from stockswarm import oracle
+from stockswarm.domain import INT64_MAX
 
 
 def reference_oracle(store, config):
-    """The per-candidate loop the grouped oracle replaced: one ``evaluate``
-    call, and so one scan of the product's records, per candidate."""
+    """The oracle scored by the brute-force matcher of ``test_matcher``:
+    one plain loop over the records per candidate, the earliest minimum
+    kept."""
     evaluator = ss.FitnessEvaluator(store, config)
     candidates, skipped = ss.enumerate_candidates(store, config)
-    best_position = candidates[0]
-    best_fitness = evaluator.evaluate(np.asarray(best_position, dtype=np.float64))
-    for candidate in candidates[1:]:
-        fitness = evaluator.evaluate(np.asarray(candidate, dtype=np.float64))
-        if fitness < best_fitness:
-            best_position, best_fitness = candidate, fitness
+    fitness = reference_fitness(store, evaluator, candidates.tolist(), config.match_radius)
+    best = int(np.flatnonzero(fitness == fitness.min())[0])
     return ss.OracleResult(
-        best_position=tuple(int(v) for v in best_position),
-        best_fitness=float(best_fitness),
+        best_position=tuple(candidates[best].tolist()),
+        best_fitness=float(fitness[best]),
         evaluations=len(candidates),
         skipped_products=skipped,
     )
@@ -76,13 +75,13 @@ class TestAgainstReference:
 
     @given(store=small_stores(), product_ub=st.integers(min_value=1, max_value=4))
     @settings(max_examples=60, deadline=None)
-    def test_grouped_fitness_bitwise_per_candidate(self, store, product_ub):
+    def test_candidate_fitness_bitwise(self, store, product_ub):
+        # Equal level rows of a product share one radius-0 lookup.
         cfg = ss.PsoConfig(match_radius=0, bounds=ss.Bounds(product_ub=product_ub, **SMALL_BOUNDS))
         evaluator = ss.FitnessEvaluator(store, cfg)
         candidates, _ = ss.enumerate_candidates(store, cfg)
-        grouped = oracle._exact_match_fitness(store, evaluator, candidates)
-        scanned = [evaluator.evaluate(np.asarray(c, dtype=np.float64)) for c in candidates]
-        assert [float(f).hex() for f in grouped] == [f.hex() for f in scanned]
+        want = reference_fitness(store, evaluator, candidates.tolist(), 0)
+        assert hexes(evaluator.evaluate_batch(candidates)) == hexes(want)
 
 
 class TestBruteForceBound:
@@ -164,6 +163,42 @@ class TestBruteForceBound:
         assert result.best_fitness < ss.evaluate(store, cfg, [1, far, far, far])
 
 
+class TestFarRecords:
+    """Records that a float64 copy of the candidate matrix cannot hold."""
+
+    def test_record_at_int64_max(self):
+        store = ss.HistoryStore.from_records(
+            SMALL_TOPOLOGY, [(1, 1, (INT64_MAX, 0, 0))], [(1, (2, 3))], [(1, 1, 4)]
+        )
+        cfg = ss.PsoConfig(
+            match_radius=1, bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-3, stock_ub=3)
+        )
+        result = ss.oracle_minimum(store, cfg)
+        assert result == reference_oracle(store, cfg)
+        assert result.best_position == (1, -3, 0, 0)
+        assert result.evaluations == 2
+        record = ss.evaluate(store, cfg, [1, INT64_MAX, 0, 0])
+        assert record == pytest.approx(math.log(0.3125 * 5 + 0.0625 * 4))  # it matches itself
+
+    def test_records_past_2_to_53(self):
+        # 2**60 + 100 and 2**60 + 101 both become 2**60 in float64, which
+        # matches neither record at radius 1.
+        big = 2**60 + 100
+        history = [(1, 1, (big, 0, 0)), (2, 1, (big + 1, 0, 0))]
+        store = ss.HistoryStore.from_records(
+            SMALL_TOPOLOGY, history, [(1, (0, 0)), (2, (0, 0))], [(1, 1, 5)]
+        )
+        cfg = ss.PsoConfig(
+            match_radius=1,
+            bounds=ss.Bounds(product_lb=1, product_ub=1),
+            priorities=ss.PriorityConfig(10.0, 0.0, 1.0),
+        )
+        result = ss.oracle_minimum(store, cfg)
+        assert result == reference_oracle(store, cfg)
+        assert result.best_position == (1, big, 0, 0)
+        assert result.best_fitness == pytest.approx(math.log(5 / 11))  # both records match
+
+
 class TestTieRule:
     def test_earlier_of_two_equal_records_wins(self):
         # Different levels, one occurrence each and equal lead sums: equal
@@ -220,6 +255,29 @@ class TestEmptyMatchCandidate:
         candidate = ss.empty_match_candidate(store, 9, cfg)
         assert candidate is not None
         assert store.match_individual(9, candidate[1:], 0).occurrences == 0
+
+    def test_records_below_the_box_leave_its_edge_free(self):
+        history = [(1, 1, (-5, 0, 0)), (2, 1, (10, 0, 0))]
+        leads = [(1, (1, 1)), (2, (1, 1))]
+        store = ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, [(1, 1, 10)])
+        cfg = ss.PsoConfig(
+            match_radius=0, bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-3, stock_ub=3)
+        )
+        assert ss.empty_match_candidate(store, 1, cfg) == (1, -3, 0, 0)
+
+    def test_records_above_the_box_open_no_gap(self):
+        # Member 1 covers the box [-1, 1]; the gap up to 5 lies outside it,
+        # so member 2 supplies the free level.
+        history = [(tid, 1, (v, 0, 0)) for tid, v in enumerate((-1, 0, 1, 5), start=1)]
+        leads = [(tid, (1, 1)) for tid in range(1, 5)]
+        store = ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, [(1, 1, 10)])
+        cfg = ss.PsoConfig(
+            match_radius=0, bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-1, stock_ub=1)
+        )
+        assert ss.empty_match_candidate(store, 1, cfg) == (1, 0, -1, 0)
+        result = ss.oracle_minimum(store, cfg)
+        assert result.best_position == (1, 0, -1, 0)
+        assert result == reference_oracle(store, cfg)
 
     def test_blanketed_range_yields_none(self, tiny_rows):
         topology, _, leads, raws = tiny_rows

@@ -83,6 +83,12 @@ class TestInterpret:
         assert (rec.actions[1].direction, rec.actions[1].quantity) == ("increase", 50)
         assert rec.actions[2].direction == rec.actions[3].direction == "none"
 
+    def test_integer_positions_are_exact(self):
+        # 2**60 + 100 has no float64 of its own; it used to report 2**60.
+        rec = ss.interpret((1, 2**60 + 100, -(2**63), 0), ss.Topology(dc_count=1, agents_per_dc=(1,)))
+        assert (rec.actions[0].direction, rec.actions[0].quantity) == ("decrease", 2**60 + 100)
+        assert (rec.actions[1].direction, rec.actions[1].quantity) == ("increase", 2**63)
+
     def test_provenance_defaults(self, topology):
         rec = ss.interpret(BEST_INDIVIDUAL, topology)
         assert math.isnan(rec.fitness)
