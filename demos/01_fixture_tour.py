@@ -19,24 +19,23 @@ print(f"{store.total_periods} periods, products {store.products}, "
 
 # Each history row is one period's signed stock snapshot for one product:
 # negative = shortage, positive = excess.
-first = store.records[0]
-print(f"\nTID {first.tid}: product {first.product_id}, levels {first.levels}")
+tid, product, *levels = store.history[0].tolist()
+print(f"\nTID {tid}: product {product}, levels {tuple(levels)}")
 
 # Matching asks: in how many recorded periods did this product show a
 # pattern within `radius` units of the query on every member?
-query = list(first.levels)
 for radius in (0, 50, 400):
-    result = store.match_individual(first.product_id, query, radius)
-    print(f"radius {radius:>3}: {result.occurrences} period(s) matched, TIDs {result.tids}")
+    tids = store.match_individual(product, levels, radius)
+    print(f"radius {radius:>3}: {len(tids)} period(s) matched, TIDs {tids.tolist()}")
 
 # The two lead-time aggregates behind the fitness formula.
-matched = store.match_individual(first.product_id, query, 0)
-print(f"\nstock lead time over matched TIDs: {store.stock_lead_time_total(matched.tids)} days")
-print(f"raw-material lead time of product {first.product_id}: "
-      f"{store.raw_lead_time_total(first.product_id)} days")
+matched = store.match_individual(product, levels, 0)
+print(f"\nstock lead time over matched TIDs: {store.stock_lead_time_total(matched)} days")
+print(f"raw-material lead time of product {product}: "
+      f"{store.raw_lead_time_total(product)} days")
 
 # Product 3 appears in 7 of the 20 periods; its occurrence ratio is the
 # frequency term the fitness weighs with w1.
-count = sum(1 for r in store.records if r.product_id == 3)
+count = int((store.history[:, 1] == 3).sum())
 print(f"\nproduct 3 occurs in {count}/{store.total_periods} periods "
       f"(ratio {count / store.total_periods})")

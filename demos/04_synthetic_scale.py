@@ -40,9 +40,7 @@ with tempfile.TemporaryDirectory() as tmp:
     result = ss.run(store, topology, config)
     print(f"{result.iterations_run} iterations")
     rounded = ss.round_half_away_from_zero(result.best_position)
-    occ = store.match_individual(
-        int(rounded[0]), rounded[1:], config.match_radius
-    ).occurrences
+    occ = len(store.match_individual(int(rounded[0]), rounded[1:], config.match_radius))
     print(f"best fitness {result.best_fitness:.6f}, pattern recurs in "
           f"{occ} periods (uniform noise: expected 0)")
 
@@ -87,9 +85,9 @@ best = min(
 rounded = ss.round_half_away_from_zero(best.best_position)
 found = mined.match_individual(int(rounded[0]), rounded[1:], 300)
 print(f"best of 8 seeds: fitness {best.best_fitness:.4f}, product "
-      f"{int(rounded[0])}, pattern found in {found.occurrences} periods")
-print("matched TIDs:", found.tids)
-assert found.tids == tuple(planted_tids)
+      f"{int(rounded[0])}, pattern found in {len(found)} periods")
+print("matched TIDs:", found.tolist())
+assert found.tolist() == planted_tids
 
 # Any profile within the matching radius of every planted row scores the
 # same, so the recovered levels land inside that tolerance band rather than

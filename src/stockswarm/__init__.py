@@ -41,7 +41,6 @@ from .engine import (
     OptimizationResult,
     PsoConfig,
     draw_swarm,
-    evaluate,
     inertia_weight,
     pso_step,
     run,
@@ -49,7 +48,6 @@ from .engine import (
 from .history import (
     HistoryRecord,
     HistoryStore,
-    MatchResult,
     RawMaterialLeadTime,
     StockLeadTimeRecord,
     load_store,
@@ -77,14 +75,12 @@ __all__ = [
     "HistoryRecord",
     "StockLeadTimeRecord",
     "RawMaterialLeadTime",
-    "MatchResult",
     "HistoryStore",
     "load_store",
     # engine
     "PsoConfig",
     "OptimizationResult",
     "FitnessEvaluator",
-    "evaluate",
     "inertia_weight",
     "draw_swarm",
     "pso_step",

@@ -22,7 +22,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, fixture_paths
@@ -35,26 +34,7 @@ from .oracle import oracle_minimum
 from .recommend import interpret, render_report
 from .synth import SynthConfig, write_fixtures
 
-__all__ = ["RunManifest", "main"]
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one command's output bytes."""
-
-    artifact_version: str
-    seed: int
-    config: dict[str, str]
-    inputs: dict[str, str]
-
-    def to_bytes(self) -> bytes:
-        payload = {
-            "artifact_version": self.artifact_version,
-            "seed": self.seed,
-            "config": self.config,
-            "inputs": self.inputs,
-        }
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+__all__ = ["main"]
 
 
 def _digest(path: Path) -> str:
@@ -75,16 +55,19 @@ def _manifest(
     settings: dict[str, str],
     paths: dict[str, Path],
     extra_config: dict[str, str] | None = None,
-) -> RunManifest:
+) -> bytes:
+    """The manifest.json bytes: everything needed to reproduce one
+    command's output bytes."""
     config = {key: settings[key] for key in DEFAULT_SETTINGS}
     if extra_config:
         config.update(extra_config)
-    return RunManifest(
-        artifact_version=__version__,
-        seed=args.seed,
-        config=config,
-        inputs={name: _digest(path) for name, path in sorted(paths.items())},
-    )
+    payload = {
+        "artifact_version": __version__,
+        "seed": args.seed,
+        "config": config,
+        "inputs": {name: _digest(path) for name, path in sorted(paths.items())},
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 def _load(args: argparse.Namespace) -> tuple[dict[str, str], Topology, object, dict[str, Path]]:
@@ -99,9 +82,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _, topology, store, paths = _load(args)
     for name in ("history", "stock_lead", "raw_lead"):
         print(f"{name}: {paths[name]}")
-    print(f"history rows: {len(store.records)}")
-    print(f"stock lead-time rows: {len(store.lead_records)}")
-    print(f"raw-material rows: {len(store.raw_records)}")
+    print(f"history rows: {store.total_periods}")
+    print(f"stock lead-time rows: {len(store.lead)}")
+    print(f"raw-material rows: {len(store.raw)}")
     print(
         f"{store.total_periods} periods, {len(store.products)} products, "
         f"l={topology.member_count}"
@@ -125,7 +108,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_bytes(render_report(recommendation, "text"))
     (out / "report.json").write_bytes(render_report(recommendation, "json"))
-    (out / "manifest.json").write_bytes(_manifest(args, settings, paths).to_bytes())
+    (out / "manifest.json").write_bytes(_manifest(args, settings, paths))
 
     trace = result.gbest_trace
     last_improvement = next(
@@ -152,15 +135,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "evaluations": result.evaluations,
         "skipped_products": list(result.skipped_products),
     }
+    body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "oracle.json").write_bytes(
-        (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    )
-    (out / "manifest.json").write_bytes(_manifest(args, settings, paths).to_bytes())
+    (out / "oracle.json").write_bytes(body)
+    (out / "manifest.json").write_bytes(_manifest(args, settings, paths))
 
     if args.format == "json":
-        sys.stdout.buffer.write((json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+        sys.stdout.buffer.write(body)
     else:
         print(f"evaluations: {result.evaluations}")
         print(f"minimum fitness: {result.best_fitness!r}")
@@ -176,32 +158,22 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     settings = parse_settings(args.config)
     topology = build_topology(settings)
+    # The synth-only options: SynthConfig fields, recorded in the manifest too.
+    names = ("periods", "products", "link_time_lb", "link_time_ub", "raw_time_lb", "raw_time_ub")
+    options = {name: getattr(args, name) for name in names}
     synth_config = SynthConfig(
-        periods=args.periods,
-        products=args.products,
         topology=topology,
         stock_lb=int(settings["stock_lb"]),
         stock_ub=int(settings["stock_ub"]),
-        link_time_lb=args.link_time_lb,
-        link_time_ub=args.link_time_ub,
-        raw_time_lb=args.raw_time_lb,
-        raw_time_ub=args.raw_time_ub,
+        **options,
     )
     try:
         paths = write_fixtures(synth_config, args.seed, args.out)
     except OSError as exc:
         print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return 2
-    extra = {
-        "periods": str(args.periods),
-        "products": str(args.products),
-        "link_time_lb": str(args.link_time_lb),
-        "link_time_ub": str(args.link_time_ub),
-        "raw_time_lb": str(args.raw_time_lb),
-        "raw_time_ub": str(args.raw_time_ub),
-    }
-    manifest = _manifest(args, settings, paths, extra_config=extra)
-    (Path(args.out) / "manifest.json").write_bytes(manifest.to_bytes())
+    extra = {name: str(value) for name, value in options.items()}
+    (Path(args.out) / "manifest.json").write_bytes(_manifest(args, settings, paths, extra))
     for name, path in paths.items():
         print(f"{name}: {path}")
     print(f"{args.periods} periods, {args.products} products, l={topology.member_count}")

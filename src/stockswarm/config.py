@@ -19,8 +19,6 @@ __all__ = [
     "DEFAULT_SETTINGS",
     "parse_settings",
     "build_topology",
-    "build_bounds",
-    "build_priorities",
     "build_pso_config",
 ]
 
@@ -116,24 +114,6 @@ def build_topology(settings: dict[str, str]) -> Topology:
     return topology
 
 
-def build_bounds(settings: dict[str, str]) -> Bounds:
-    return Bounds(
-        product_lb=_get_int(settings, "product_lb"),
-        product_ub=_get_int(settings, "product_ub"),
-        stock_lb=_get_int(settings, "stock_lb"),
-        stock_ub=_get_int(settings, "stock_ub"),
-        velocity_fraction=_get_float(settings, "velocity_fraction"),
-    )
-
-
-def build_priorities(settings: dict[str, str]) -> PriorityConfig:
-    return PriorityConfig(
-        r1=_get_float(settings, "r1"),
-        r2=_get_float(settings, "r2"),
-        r3=_get_float(settings, "r3"),
-    )
-
-
 def build_pso_config(settings: dict[str, str], seed: int = 0) -> PsoConfig:
     """Full run config from settings; the seed comes from the caller."""
     return PsoConfig(
@@ -143,8 +123,18 @@ def build_pso_config(settings: dict[str, str], seed: int = 0) -> PsoConfig:
         c2=_get_float(settings, "c2"),
         w_max=_get_float(settings, "w_max"),
         w_min=_get_float(settings, "w_min"),
-        bounds=build_bounds(settings),
-        priorities=build_priorities(settings),
+        bounds=Bounds(
+            product_lb=_get_int(settings, "product_lb"),
+            product_ub=_get_int(settings, "product_ub"),
+            stock_lb=_get_int(settings, "stock_lb"),
+            stock_ub=_get_int(settings, "stock_ub"),
+            velocity_fraction=_get_float(settings, "velocity_fraction"),
+        ),
+        priorities=PriorityConfig(
+            r1=_get_float(settings, "r1"),
+            r2=_get_float(settings, "r2"),
+            r3=_get_float(settings, "r3"),
+        ),
         match_radius=_get_int(settings, "match_radius"),
         log_base=settings["log_base"],
         stall_window=_get_int(settings, "stall_window"),

@@ -187,11 +187,16 @@ def round_half_away_from_zero(values: np.ndarray | list[float]) -> np.ndarray:
     """Round to integers with halves moving away from zero (0.5 -> 1,
     -0.5 -> -1), the rule used for every table query and report.
 
-    Integer arrays come back as int64 unchanged; anything else is rounded in
-    float64.  A value that is not finite or outside int64 raises ConfigError.
+    Integer arrays, signed or unsigned, come back as int64 unchanged; anything
+    else is rounded in float64.  A value that is not finite or outside int64
+    raises ConfigError.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind == "i":
+    if arr.dtype.kind == "u":
+        past = arr[arr > np.uint64(INT64_MAX)]
+        if past.size:
+            raise ConfigError(f"position value {int(past[0])} is outside the int64 range")
+    if arr.dtype.kind in "iu":
         return arr.astype(np.int64, copy=False)
     if arr.dtype == object and any(  # Python ints past int64 make an object array
         isinstance(v, int) and not INT64_MIN <= v <= INT64_MAX for v in arr.flat

@@ -50,7 +50,6 @@ __all__ = [
     "PsoConfig",
     "OptimizationResult",
     "FitnessEvaluator",
-    "evaluate",
     "inertia_weight",
     "draw_swarm",
     "pso_step",
@@ -244,14 +243,6 @@ class FitnessEvaluator:
             mask = pids == pid
             occ[mask], t_stock[mask] = self._store.match_counts(pid, levels[mask], self._radius)
         return self.score(pids, occ, t_stock)
-
-
-def evaluate(store: HistoryStore, config: PsoConfig, position: Sequence[float]) -> float:
-    """One-off fitness of a single position.
-
-    For repeated evaluation build a :class:`FitnessEvaluator` once instead.
-    """
-    return FitnessEvaluator(store, config).evaluate(position)
 
 
 def inertia_weight(config: PsoConfig, iteration: int) -> float:

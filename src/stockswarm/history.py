@@ -39,7 +39,6 @@ __all__ = [
     "HistoryRecord",
     "StockLeadTimeRecord",
     "RawMaterialLeadTime",
-    "MatchResult",
     "HistoryStore",
     "load_store",
 ]
@@ -75,20 +74,6 @@ class RawMaterialLeadTime:
     time: int
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """TIDs whose records fall within the matching radius of a candidate."""
-
-    tids: tuple[int, ...]
-    occurrences: int
-
-    def __post_init__(self) -> None:
-        if self.occurrences != len(self.tids):
-            raise ConfigError("occurrences must equal the number of matched tids")
-        if any(a >= b for a, b in zip(self.tids, self.tids[1:])):
-            raise ConfigError("matched tids must be strictly increasing")
-
-
 class HistoryStore:
     """Validated, immutable view over the three historical tables.
 
@@ -102,18 +87,19 @@ class HistoryStore:
     ) -> None:
         self._topology = topology
         l = topology.member_count
+        history_columns, lead_columns, raw_columns = _headers(l)
 
-        history, repeat = _table(history, l + 2, 1, "history")
+        history, repeat = _table(history, history_columns, 1, "history", [1, 1])
         if not len(history):
             raise ParseError("history table holds no records")
         if repeat:
             raise DuplicateTid(f"history TID {repeat[0]} appears more than once")
-        lead, repeat = _table(lead, l, 1, "stock-lead-time")
+        lead, repeat = _table(lead, lead_columns, 1, "stock-lead-time", [1] + [0] * (l - 1))
         if repeat:
             raise DuplicateTid(f"lead-time TID {repeat[0]} appears more than once")
         lead_sums = lead[:, 1:].astype(object).sum(axis=1)  # Python ints, so exact
         lead_sums = _int64_sums(lead_sums, lead[:, 0], "lead-time TID {} link times")
-        raw, repeat = _table(raw, 3, 2, "raw-material")
+        raw, repeat = _table(raw, raw_columns, 2, "raw-material", [1, 1, 0])
         if repeat:
             raise ParseError(f"raw-material row (PI={repeat[0]}, RM={repeat[1]}) duplicated")
         raw_pids, starts = np.unique(raw[:, 0], return_index=True)
@@ -172,6 +158,16 @@ class HistoryStore:
     def history(self) -> np.ndarray:
         """Read-only (n, l + 2) matrix of TID, PI, F1..Fl rows, TIDs ascending."""
         return self._history
+
+    @property
+    def lead(self) -> np.ndarray:
+        """Read-only (n, l) matrix of TID, T1..T(l-1) rows, TIDs ascending."""
+        return self._lead
+
+    @property
+    def raw(self) -> np.ndarray:
+        """Read-only (n, 3) matrix of PI, RM, T rows, ascending by (PI, RM)."""
+        return self._raw
 
     @cached_property
     def records(self) -> tuple[HistoryRecord, ...]:
@@ -253,9 +249,10 @@ class HistoryStore:
 
     def match_individual(
         self, product_id: int, levels: Sequence[int], radius: int
-    ) -> MatchResult:
-        """Find all records of ``product_id`` within ``radius`` units of
-        ``levels`` on every member dimension.
+    ) -> np.ndarray:
+        """TIDs, ascending in a new int64 array, of the records of
+        ``product_id`` within ``radius`` units of ``levels`` on every member
+        dimension.
 
         ``radius == 0`` is exact integer equality per dimension.  An empty
         result is valid and common.  A level that is not an int64 integer
@@ -267,8 +264,7 @@ class HistoryStore:
                 f"query has {query.size} stock entries, expected {self._topology.member_count}"
             )
         tids, rows, _ = self._entry(product_id, query[None, :], radius)
-        matched = tuple(int(t) for t in tids[_box_hits(rows, query[None, :], radius)[0]])
-        return MatchResult(matched, len(matched))
+        return tids[_box_hits(rows, query[None, :], radius)[0]]
 
     def stock_lead_time_total(self, tids: Iterable[int]) -> int:
         """Exact sum of all link transport days over the given TIDs."""
@@ -312,14 +308,36 @@ def _row_bytes(matrix: np.ndarray) -> np.ndarray:
     return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1])))[:, 0]
 
 
-def _table(rows, width: int, keys: int, label: str) -> tuple[np.ndarray, list[int] | None]:
-    """A table as an (n, width) int64 matrix sorted stably by its first
-    ``keys`` columns, and the first key that repeats, or None."""
+def _headers(member_count: int) -> tuple[list[str], list[str], list[str]]:
+    """Column names of the history, stock-lead-time and raw-material tables."""
+    return (
+        ["TID", "PI"] + [f"F{i}" for i in range(1, member_count + 1)],
+        ["TID"] + [f"T{i}" for i in range(1, member_count)],
+        ["PI", "RM", "T"],
+    )
+
+
+def _table(
+    rows, columns: list[str], keys: int, label: str, minimums: list[int]
+) -> tuple[np.ndarray, list[int] | None]:
+    """A table as an int64 matrix of ``columns`` sorted stably by its first
+    ``keys`` columns, and the first key that repeats, or None.
+
+    The leading columns hold at least ``minimums``; the first row in key
+    order below one raises ParseError.
+    """
+    width = len(columns)
     matrix = _int64_array(rows, ParseError, f"{label} table")
     if matrix.size and (matrix.ndim != 2 or matrix.shape[1] != width):
         raise DimensionMismatch(f"{label} table has shape {matrix.shape}, expected (n, {width})")
     matrix = matrix.reshape(-1, width)
     matrix = matrix[np.lexsort(matrix[:, keys - 1 :: -1].T)]
+    below = matrix[:, : len(minimums)] < np.array(minimums, dtype=np.int64)
+    bad = np.flatnonzero(below.any(axis=1))
+    if bad.size:
+        row, col = matrix[bad[0]].tolist(), int(np.argmax(below[bad[0]]))
+        key = ", ".join(f"{c}={v}" for c, v in zip(columns, row[:keys]))
+        raise ParseError(f"{label} row {key}: {columns[col]} {row[col]} below minimum {minimums[col]}")
     repeats = np.flatnonzero((matrix[1:, :keys] == matrix[:-1, :keys]).all(axis=1))
     return matrix, (matrix[repeats[0], :keys].tolist() if repeats.size else None)
 
@@ -340,17 +358,16 @@ def _int64_array(values, error: type[Exception], what: str) -> np.ndarray:
 
 
 def _int64_sums(sums: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
-    """Exact sums (Python ints) as int64; one past int64 raises ParseError."""
-    past = np.flatnonzero((sums < INT64_MIN) | (sums > INT64_MAX))
+    """Exact non-negative sums (Python ints) as int64; one past int64 raises
+    ParseError."""
+    past = np.flatnonzero(sums > INT64_MAX)
     if past.size:
         first = past[0]
         raise ParseError(f"{what.format(keys[first])} sum to {sums[first]}, past the int64 range")
     return sums.astype(np.int64)
 
 
-def _read_table(
-    path: str | Path, expected_header: list[str], label: str, minimums: list[int | None]
-) -> np.ndarray:
+def _read_table(path: str | Path, expected_header: list[str], label: str) -> np.ndarray:
     """Read a strict CSV table of integers into an int64 matrix.
 
     Width disagreements raise DimensionMismatch (they usually mean the
@@ -382,19 +399,17 @@ def _read_table(
             raise DimensionMismatch(
                 f"{label} line {lineno} has {len(cells)} columns, expected {len(expected_header)}"
             )
-        rows.append([_parse_int(cell, label, lineno, low) for cell, low in zip(cells, minimums)])
+        rows.append([_parse_int(cell, label, lineno) for cell in cells])
     if not rows:
         raise ParseError(f"{label} file {path} has a header but no records")
     return np.array(rows, dtype=np.int64)
 
 
-def _parse_int(cell: str, label: str, lineno: int, minimum: int | None = None) -> int:
+def _parse_int(cell: str, label: str, lineno: int) -> int:
     try:
         value = int(cell)
     except ValueError:
         raise ParseError(f"{label} line {lineno}: {cell!r} is not an integer") from None
-    if minimum is not None and value < minimum:
-        raise ParseError(f"{label} line {lineno}: value {value} below minimum {minimum}")
     if not INT64_MIN <= value <= INT64_MAX:
         raise ParseError(f"{label} line {lineno}: value {value} outside the int64 range")
     return value
@@ -412,12 +427,10 @@ def load_store(
     or MissingRawMaterial; on success every history TID has lead times and
     every history product has raw-material rows.
     """
-    l = topology.member_count
-    history = ["TID", "PI"] + [f"F{i}" for i in range(1, l + 1)]
-    lead = ["TID"] + [f"T{i}" for i in range(1, l)]
+    history, lead, raw = _headers(topology.member_count)
     return HistoryStore(
         topology,
-        _read_table(history_path, history, "history", [1, 1] + [None] * l),
-        _read_table(stock_leadtime_path, lead, "stock-lead-time", [1] + [0] * (l - 1)),
-        _read_table(raw_leadtime_path, ["PI", "RM", "T"], "raw-material", [1, 1, 0]),
+        _read_table(history_path, history, "history"),
+        _read_table(stock_leadtime_path, lead, "stock-lead-time"),
+        _read_table(raw_leadtime_path, raw, "raw-material"),
     )

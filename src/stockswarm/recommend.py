@@ -57,11 +57,6 @@ class Recommendation:
     weights: Weights | None
     iterations: int
 
-    def signed_levels(self) -> tuple[int, ...]:
-        """Reconstruct the rounded stock vector the actions came from."""
-        signs = {"increase": -1, "decrease": 1, "none": 0}
-        return tuple(signs[a.direction] * a.quantity for a in self.actions)
-
 
 def member_labels(topology: Topology) -> tuple[str, ...]:
     """Chain-order labels: factory, distribution centres, then agents.

@@ -16,6 +16,7 @@ import numpy as np
 
 from .domain import Topology
 from .errors import ConfigError
+from .history import _headers
 
 __all__ = ["SynthConfig", "generate", "write_fixtures"]
 
@@ -87,7 +88,6 @@ def generate(
 def write_fixtures(config: SynthConfig, seed: int, out_dir: str | Path) -> dict[str, Path]:
     """Generate and write the three CSV files; returns their paths."""
     history, leads, raws = generate(config, seed)
-    l = config.topology.member_count
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -96,16 +96,12 @@ def write_fixtures(config: SynthConfig, seed: int, out_dir: str | Path) -> dict[
         "stock_lead": out / "stock_lead_times.csv",
         "raw_lead": out / "raw_material_lead_times.csv",
     }
-    header = ",".join(["TID", "PI"] + [f"F{i}" for i in range(1, l + 1)])
-    lines = [header] + [
-        ",".join(map(str, (tid, pid, *levels))) for tid, pid, levels in history
-    ]
-    paths["history"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    header = ",".join(["TID"] + [f"T{i}" for i in range(1, l)])
-    lines = [header] + [",".join(map(str, (tid, *times))) for tid, times in leads]
-    paths["stock_lead"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["PI,RM,T"] + [",".join(map(str, row)) for row in raws]
-    paths["raw_lead"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tables = (
+        [(tid, pid, *levels) for tid, pid, levels in history],
+        [(tid, *times) for tid, times in leads],
+        raws,
+    )
+    for path, header, rows in zip(paths.values(), _headers(config.topology.member_count), tables):
+        lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return paths

@@ -48,7 +48,7 @@ def test_criterion_2_action_list_reproduction(topology):
 
 def test_criterion_3_worked_fitness_example(store):
     cfg = ss.PsoConfig(match_radius=0, priorities=FIXTURE_PRIORITIES)
-    got = ss.evaluate(store, cfg, [3, 632, 424, 247, -298, -115, 365, 961])
+    got = ss.FitnessEvaluator(store, cfg).evaluate([3, 632, 424, 247, -298, -115, 365, 961])
     with mpmath.workdps(60):
         expected = float(mpmath.mpf("0.59375") + mpmath.log(mpmath.mpf("43.375")))
     assert abs(got - expected) < 1e-9
@@ -205,8 +205,8 @@ def test_criterion_7_randomized_invariant_suite():
             r_big = r_small + int(master.integers(0, 80))
             small = store.match_individual(pid, query, r_small)
             big = store.match_individual(pid, query, r_big)
-            assert set(small.tids) <= set(big.tids)
-            assert small.occurrences <= big.occurrences <= store.total_periods
+            assert set(small.tolist()) <= set(big.tolist())
+            assert len(small) <= len(big) <= store.total_periods
             cases += 1
 
     # family D: weight normalization over random priorities (200)

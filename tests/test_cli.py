@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import shutil
 
 import pytest
 
@@ -293,8 +294,9 @@ class TestOracleCommand:
         assert body["best_position"] == [1, -far, 0, 0, 0, 0, 0, 0]
         store = ss.load_store(*(tmp_path / name for name in files), ss.Topology())
         config = build_pso_config(parse_settings(conf), seed=0)
-        assert body["best_fitness"] == ss.evaluate(store, config, body["best_position"])
-        assert body["best_fitness"] < ss.evaluate(store, config, [1] + [far] * 7)
+        evaluator = ss.FitnessEvaluator(store, config)
+        assert body["best_fitness"] == evaluator.evaluate(body["best_position"])
+        assert body["best_fitness"] < evaluator.evaluate([1] + [far] * 7)
 
     def _three_member_oracle(self, tmp_path, history_rows, settings):
         """Run ``oracle`` on a 3-member chain whose periods all have link
@@ -332,8 +334,9 @@ class TestOracleCommand:
         body = json.loads(body.read_text())
         assert body["evaluations"] == 2
         assert body["best_position"] == [1, -3, 0, 0]
-        assert body["best_fitness"] == ss.evaluate(store, config, body["best_position"])
-        assert body["best_fitness"] < ss.evaluate(store, config, [1, 2**63 - 1, 0, 0])
+        evaluator = ss.FitnessEvaluator(store, config)
+        assert body["best_fitness"] == evaluator.evaluate(body["best_position"])
+        assert body["best_fitness"] < evaluator.evaluate([1, 2**63 - 1, 0, 0])
 
     def test_records_past_2_to_53(self, tmp_path, capsys):
         big = 2**60 + 100
@@ -345,12 +348,13 @@ class TestOracleCommand:
         body = json.loads(body.read_text())
         assert body["best_position"] == [1, big, 0, 0]
         assert body["best_fitness"] == pytest.approx(math.log(5 / 11))  # both records match
-        assert store.match_individual(1, [big, 0, 0], 1).occurrences == 2
+        assert len(store.match_individual(1, [big, 0, 0], 1)) == 2
 
 
-# sha256 of the bundled fixture's seed-0 output files.  A change to the
-# fitness values, the seeded trajectory or the report and manifest layout
-# shows here, and needs its own stated reason.
+# sha256 of the seed-0 output files on the bundled fixture (for synth: of its
+# 50-period tables) and of validate's stdout.  A change to the fitness values,
+# the seeded trajectory, the generator or the report, manifest and summary
+# layout shows here, and needs its own stated reason.
 PINNED_OUTPUTS = {
     "optimize": {
         "report.txt": "fd39e8927212408648712c12f7415b871c1a133acbe07bce9b25711bb1f922d6",
@@ -365,21 +369,45 @@ PINNED_OUTPUTS = {
         "oracle.json": "ba54bf3ff0f06926de5156f1fd208ff9d126e59249de7ca725bd3b0cd78368b7",
         "manifest.json": "0881807fe6ba0f4ca2cc0da630eac9fdbf8fcf9eb5b5e4a1c0083491bc204ed0",
     },
+    "synth": {
+        "stock_history.csv": "d7f704d100576d3a556747729eef544dc212547f084bae2a2f42b526117d7abc",
+        "stock_lead_times.csv": "1f4212c06a14aecec6a1362e70abb5e1d838e18f3792af00cbce340dcb1be06d",
+        "raw_material_lead_times.csv": "7eadf8f29fbc7e8cd14cab41a316500a49f2396ceb2f861148472944c97a6f03",
+        "manifest.json": "428e416ab9a07efd639b7b7de651451ca4efe330c78936912e6ee3837cf7d5ad",
+    },
+    "validate": {"stdout": "35a74ff5bab5422544e30c8de22801b9f99811749a40863afc19fdc0c9bf289f"},
 }
 
 
 @pytest.mark.parametrize("job", sorted(PINNED_OUTPUTS))
-def test_fixture_output_bytes_pinned(tmp_path, job):
-    argv = [job.split("-")[0], "--seed", "0", "--out", str(tmp_path / "out")]
+def test_fixture_output_bytes_pinned(tmp_path, monkeypatch, capsys, job):
+    # Relative paths keep validate's stdout free of the checkout's location.
+    monkeypatch.chdir(tmp_path)
+    argv = [job.split("-")[0], "--seed", "0", "--out", "out"]
     if job == "oracle-radius-0":
         (tmp_path / "zero.conf").write_text("match_radius = 0\n")
-        argv += ["--config", str(tmp_path / "zero.conf")]
+        argv += ["--config", "zero.conf"]
+    elif job == "synth":
+        argv += ["--periods", "50"]
+    elif job == "validate":
+        for flag, path in zip(("--history", "--stock-lead", "--raw-lead"), ss.fixture_paths()):
+            shutil.copy(path, tmp_path)
+            argv += [flag, path.name]
     assert main(argv) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-        for name in PINNED_OUTPUTS[job]
-    }
+    outputs = {"stdout": capsys.readouterr().out.encode("utf-8")}
+    outputs.update((f.name, f.read_bytes()) for f in (tmp_path / "out").glob("*"))
+    digests = {name: hashlib.sha256(outputs[name]).hexdigest() for name in PINNED_OUTPUTS[job]}
     assert digests == PINNED_OUTPUTS[job]
+
+
+def test_validate_builds_no_record_objects(monkeypatch, capsys):
+    def refuse(store):
+        raise AssertionError("validate read a record tuple")
+
+    for name in ("records", "lead_records", "raw_records"):
+        monkeypatch.setattr(ss.HistoryStore, name, property(refuse))
+    assert main(["validate"]) == 0
+    assert "history rows: 20\nstock lead-time rows: 20\nraw-material rows: 20\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["optimize", "oracle"])

@@ -158,3 +158,16 @@ class TestRounding:
     def test_result_within_half_unit(self, x):
         r = int(ss.round_half_away_from_zero([x])[0])
         assert abs(r - x) <= 0.5
+
+    def test_uint64_converts_exactly(self):
+        # float64 would round 2**60 + 100 down to 2**60
+        levels = np.array([1, 2**60 + 100, 2**63 - 1, 0], dtype=np.uint64)
+        got = ss.round_half_away_from_zero(levels)
+        assert got.dtype == np.int64
+        assert got.tolist() == [1, 2**60 + 100, 2**63 - 1, 0]
+        report = ss.interpret(levels, ss.Topology(dc_count=1, agents_per_dc=(1,)))
+        assert [a.quantity for a in report.actions] == [2**60 + 100, 2**63 - 1, 0]
+
+    def test_uint64_past_int64_rejected(self):
+        with pytest.raises(ConfigError, match=f"position value {2**63} is outside the int64 range"):
+            ss.round_half_away_from_zero(np.array([1, 2**63, 2**64 - 1], dtype=np.uint64))

@@ -87,25 +87,26 @@ class TestPsoConfigValidation:
 class TestEvaluate:
     def test_tid1_worked_example(self, store):
         cfg = ss.PsoConfig(match_radius=0)
-        got = ss.evaluate(store, cfg, TID1_POSITION)
+        got = ss.FitnessEvaluator(store, cfg).evaluate(TID1_POSITION)
         assert got == pytest.approx(0.59375 + math.log(43.375), abs=1e-12)
         assert got == pytest.approx(exact_fitness(1, 20, 121, 89), abs=1e-9)
 
     def test_zero_match_example(self, store):
         cfg = ss.PsoConfig(match_radius=0)
-        got = ss.evaluate(store, cfg, [3, 1, 1, 1, 1, 1, 1, 1])
+        got = ss.FitnessEvaluator(store, cfg).evaluate([3, 1, 1, 1, 1, 1, 1, 1])
         assert got == pytest.approx(0.625 + math.log(5.5625), abs=1e-12)
         assert got == pytest.approx(exact_fitness(0, 20, 0, 89), abs=1e-9)
 
     def test_base10_variant(self, store):
         cfg = ss.PsoConfig(match_radius=0, log_base="base10")
-        got = ss.evaluate(store, cfg, TID1_POSITION)
+        got = ss.FitnessEvaluator(store, cfg).evaluate(TID1_POSITION)
         assert got == pytest.approx(exact_fitness(1, 20, 121, 89, log10=True), abs=1e-9)
 
     def test_product_dimension_rounds_before_lookup(self, store):
         cfg = ss.PsoConfig(match_radius=0)
         nudged = [3.49] + TID1_POSITION[1:]
-        assert ss.evaluate(store, cfg, nudged) == ss.evaluate(store, cfg, TID1_POSITION)
+        evaluator = ss.FitnessEvaluator(store, cfg)
+        assert evaluator.evaluate(nudged) == evaluator.evaluate(TID1_POSITION)
 
     def test_purity_bit_identical(self, store):
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig())
@@ -114,12 +115,12 @@ class TestEvaluate:
 
     def test_dimension_mismatch(self, store):
         with pytest.raises(DimensionMismatch):
-            ss.evaluate(store, ss.PsoConfig(), [3, 1, 2])
+            ss.FitnessEvaluator(store, ss.PsoConfig()).evaluate([3, 1, 2])
 
     def test_missing_raw_material(self, store):
         cfg = ss.PsoConfig(bounds=ss.Bounds(product_ub=9))
         with pytest.raises(MissingRawMaterial):
-            ss.evaluate(store, cfg, [9, 0, 0, 0, 0, 0, 0, 0])
+            ss.FitnessEvaluator(store, cfg).evaluate([9, 0, 0, 0, 0, 0, 0, 0])
 
     def test_lead_time_total_past_int64_rejected(self, tiny_rows):
         # each row's lead time fits int64; a product total of 2**63 does not,
@@ -143,7 +144,7 @@ class TestEvaluate:
             match_radius=0, priorities=ss.PriorityConfig(1, 1, 0)
         )
         with pytest.raises(LogDomainError):
-            ss.evaluate(store, cfg, [1, 5, 5, 5])
+            ss.FitnessEvaluator(store, cfg).evaluate([1, 5, 5, 5])
 
 
 class TestInertiaWeight:
@@ -365,7 +366,8 @@ class TestRun:
         cfg = ss.PsoConfig(match_radius=0)
         lo = ss.HistoryStore.from_records(topology, base_history, leads, raws)
         hi = ss.HistoryStore.from_records(topology, more_history, leads, raws)
-        assert ss.evaluate(hi, cfg, query) < ss.evaluate(lo, cfg, query)
+        hi_fitness = ss.FitnessEvaluator(hi, cfg).evaluate(query)
+        assert hi_fitness < ss.FitnessEvaluator(lo, cfg).evaluate(query)
 
     def test_run_rejects_foreign_topology(self, store):
         other = ss.Topology(dc_count=1, agents_per_dc=(2,))

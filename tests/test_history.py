@@ -175,9 +175,8 @@ class TestMatching:
             tid, pid, levels = row[0], row[1], row[2:]
             result = store.match_individual(pid, levels, 0)
             expected = brute_force_match(raw_tables[0][1], pid, levels, 0)
-            assert list(result.tids) == expected
-            assert tid in result.tids
-            assert result.occurrences == len(result.tids)
+            assert result.tolist() == expected
+            assert tid in result.tolist()
 
     def test_agrees_with_brute_force_across_radii(self, store, raw_tables):
         rows = raw_tables[0][1]
@@ -188,21 +187,20 @@ class TestMatching:
                 jitter = rng.integers(-radius - 5, radius + 6, size=len(levels))
                 query = [v + int(j) for v, j in zip(levels, jitter)]
                 got = store.match_individual(pid, query, radius)
-                assert list(got.tids) == brute_force_match(rows, pid, query, radius)
+                assert got.tolist() == brute_force_match(rows, pid, query, radius)
 
     def test_zero_radius_is_exact_equality(self, store, raw_tables):
         row = raw_tables[0][1][0]
         pid, levels = row[1], row[2:]
         off = list(levels)
         off[3] += 1
-        assert store.match_individual(pid, off, 0).occurrences == 0
+        assert len(store.match_individual(pid, off, 0)) == 0
 
     def test_unknown_product_matches_nothing(self, store):
-        assert store.match_individual(42, [0] * 7, 1000).tids == ()
+        assert store.match_individual(42, [0] * 7, 1000).tolist() == []
 
     def test_occurrences_bounded_by_periods(self, store):
-        result = store.match_individual(3, [0] * 7, 10**6)
-        assert result.occurrences == 7 <= store.total_periods
+        assert len(store.match_individual(3, [0] * 7, 10**6)) == 7 <= store.total_periods
 
     @given(
         pair=st.tuples(
@@ -218,7 +216,7 @@ class TestMatching:
         query = [base + (i * 17) % 40 for i in range(7)]
         small = store.match_individual(pid, query, r_small)
         big = store.match_individual(pid, query, r_big)
-        assert set(small.tids) <= set(big.tids)
+        assert set(small.tolist()) <= set(big.tolist())
 
     def test_wrong_query_width(self, store):
         with pytest.raises(DimensionMismatch):
@@ -227,12 +225,6 @@ class TestMatching:
     def test_negative_radius(self, store):
         with pytest.raises(ConfigError):
             store.match_individual(1, [0] * 7, -1)
-
-    def test_match_result_validates(self):
-        with pytest.raises(ConfigError):
-            ss.MatchResult((1, 2), 3)
-        with pytest.raises(ConfigError):
-            ss.MatchResult((2, 1), 2)
 
 
 class TestLeadTimeQueries:
@@ -341,6 +333,44 @@ def valid_tables(draw):
     return history, leads, raws
 
 
+# Rows below a column minimum, on the 3-member rows of ``tiny_rows``: the
+# CSV reader once checked these alone, by line; now every constructor does.
+MINIMUM_DEFECTS = {
+    "history-tid-below-1": (
+        lambda h, s, r: (h + [(0, 1, (0, 0, 0))], s, r),
+        ParseError, "history row TID=0: TID 0 below minimum 1",
+    ),
+    "history-tid-negative": (
+        lambda h, s, r: (h + [(-4, 0, (0, 0, 0)), (4, 0, (0, 0, 0))], s, r),
+        ParseError, "history row TID=-4: TID -4 below minimum 1",
+    ),
+    "history-pi-zero": (
+        lambda h, s, r: (h + [(4, 0, (0, 0, 0))], s, r),
+        ParseError, "history row TID=4: PI 0 below minimum 1",
+    ),
+    "lead-tid-below-1": (
+        lambda h, s, r: (h, s + [(-4, (1, 1))], r),
+        ParseError, "stock-lead-time row TID=-4: TID -4 below minimum 1",
+    ),
+    "link-time-negative": (
+        lambda h, s, r: (h, s[:2] + [(3, (2, -50))], r),
+        ParseError, "stock-lead-time row TID=3: T2 -50 below minimum 0",
+    ),
+    "raw-pi-below-1": (
+        lambda h, s, r: (h, s, r + [(0, 1, 3)]),
+        ParseError, "raw-material row PI=0, RM=1: PI 0 below minimum 1",
+    ),
+    "raw-rm-below-1": (
+        lambda h, s, r: (h, s, r + [(2, 0, 3)]),
+        ParseError, "raw-material row PI=2, RM=0: RM 0 below minimum 1",
+    ),
+    "raw-time-negative": (
+        lambda h, s, r: (h, s, r[:2] + [(2, 1, -7)]),
+        ParseError, "raw-material row PI=2, RM=1: T -7 below minimum 0",
+    ),
+}
+
+
 class TestOneConstructor:
     @given(tables=valid_tables())
     @settings(max_examples=80, deadline=None)
@@ -371,16 +401,16 @@ class TestOneConstructor:
 
     @given(
         cells=st.lists(
-            st.tuples(*[st.integers(-(2**63), INT64_MAX)] * 6), min_size=1, max_size=6
+            st.tuples(*[st.integers(0, INT64_MAX)] * 6), min_size=1, max_size=6
         )
     )
     @settings(max_examples=150, deadline=None)
     def test_lead_sums_are_exact(self, cells):
-        # from_records takes any int64 link days, negative ones too
+        # from_records takes any non-negative int64 link days
         topology = ss.Topology(dc_count=1, agents_per_dc=(5,))
         history = [(tid, 1, (0,) * 7) for tid in range(1, len(cells) + 1)]
         leads = list(zip(range(1, len(cells) + 1), cells))
-        past = [tid for tid, lt in leads if not -(2**63) <= sum(lt) <= INT64_MAX]
+        past = [tid for tid, lt in leads if sum(lt) > INT64_MAX]
         result = outcome(lambda: ss.HistoryStore.from_records(topology, history, leads, [(1, 1, 1)]))
         if past:
             assert result == (
@@ -431,7 +461,20 @@ class TestOneConstructor:
             lambda h, s, r: (h, s, [(1, 1, 2**62), (1, 2, 2**62)] + r[2:]),
             ParseError, f"raw-material times of product 1 sum to {2**63}, past the int64 range",
         ),
+        **MINIMUM_DEFECTS,
     }
+
+    @pytest.mark.parametrize("defect", list(MINIMUM_DEFECTS))
+    def test_matrix_constructor_checks_minimums(self, tiny_rows, defect):
+        edit, error, message = MINIMUM_DEFECTS[defect]
+        topology, *rows = tiny_rows
+        history, leads, raws = edit(*rows)
+        matrices = (
+            np.array([(t, p, *lv) for t, p, lv in history]),
+            np.array([(t, *lt) for t, lt in leads]),
+            np.array(raws),
+        )
+        assert outcome(lambda: ss.HistoryStore(topology, *matrices)) == (error, message)
 
     @pytest.mark.parametrize("defect", list(DEFECTS))
     def test_single_defect_same_error_both_ways(self, tmp_path, tiny_rows, defect):

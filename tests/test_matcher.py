@@ -103,8 +103,7 @@ class TestAgainstReference:
     def test_match_individual_tids(self, radius, store, query):
         got = store.match_individual(query[0], query[1:], radius)
         tids, _ = reference_match(store, query[0], query[1:], radius)
-        assert list(got.tids) == tids
-        assert got.occurrences == len(tids)
+        assert got.tolist() == tids
 
     @pytest.mark.parametrize("comparisons", [1, 10, 40])
     @given(store=small_stores(), batch=positions)
@@ -123,7 +122,7 @@ class TestAgainstReference:
     def test_product_without_records_matches_nothing(self, store, query):
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=6))
         position = (5, *query[1:])
-        assert store.match_individual(5, query[1:], 6).tids == ()
+        assert store.match_individual(5, query[1:], 6).tolist() == []
         want = evaluator.score(np.array([5]), np.array([0]), np.array([0]))
         assert hexes(evaluator.evaluate_batch(np.array([position]))) == hexes(want)
 
@@ -152,7 +151,7 @@ class TestFixture:
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=0))
         want = reference_fitness(store, evaluator, [TID1_POSITION], 0)
         assert evaluator.evaluate(TID1_POSITION).hex() == float(want[0]).hex()
-        assert list(store.match_individual(3, TID1_POSITION[1:], 0).tids) == tids
+        assert store.match_individual(3, TID1_POSITION[1:], 0).tolist() == tids
 
     def test_batch_matches_reference(self, store):
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=50))
@@ -224,7 +223,7 @@ class TestIntegerPositions:
         store = self.far_store()
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=radius))
         position = (1, self.BIG, 0, 0)
-        assert store.match_individual(1, position[1:], radius).tids == (1, 2)[: radius + 1]
+        assert store.match_individual(1, position[1:], radius).tolist() == [1, 2][: radius + 1]
         want = reference_fitness(store, evaluator, [position], radius)
         unmatched = evaluator.score(np.array([1]), np.array([0]), np.array([0]))
         assert hexes(want) != hexes(unmatched)
@@ -281,15 +280,15 @@ class TestFarLevels:
     @settings(max_examples=60, deadline=None)
     def test_match_individual_tids(self, radius, store, query):
         tids, _ = reference_match(store, query[0], query[1:], radius)
-        assert list(store.match_individual(query[0], query[1:], radius).tids) == tids
+        assert store.match_individual(query[0], query[1:], radius).tolist() == tids
 
     def test_opposite_corner_does_not_match(self):
         store = ss.HistoryStore.from_records(
             SMALL_TOPOLOGY, [(1, 1, (FAR,) * 3)], [(1, (2, 3))], [(1, 1, 4)]
         )
         config = ss.PsoConfig(match_radius=0, bounds=ss.Bounds(stock_lb=-FAR, stock_ub=FAR))
-        assert store.match_individual(1, (-FAR,) * 3, 0).tids == ()
-        assert store.match_individual(1, (FAR,) * 3, 0).tids == (1,)
+        assert store.match_individual(1, (-FAR,) * 3, 0).tolist() == []
+        assert store.match_individual(1, (FAR,) * 3, 0).tolist() == [1]
         evaluator = ss.FitnessEvaluator(store, config)
         unmatched = evaluator.score(np.array([1]), np.array([0]), np.array([0]))
         assert hexes([evaluator.evaluate([1, -FAR, -FAR, -FAR])]) == hexes(unmatched)
@@ -300,4 +299,4 @@ class TestFarLevels:
         for pid in store.products:
             tids = store.product_rows(pid)[0].tolist()
             for query in ([0] * 7, [-(2**63)] * 7, [2**63 - 1] * 7):
-                assert list(store.match_individual(pid, query, radius).tids) == tids
+                assert store.match_individual(pid, query, radius).tolist() == tids

@@ -127,9 +127,10 @@ class TestBruteForceBound:
         result = ss.oracle_minimum(store, cfg)
         assert result.skipped_products == ()
         assert result.best_position == (1, -1, -1, 0)
-        assert result.best_fitness == ss.evaluate(store, cfg, [1, -1, -1, 0])
+        evaluator = ss.FitnessEvaluator(store, cfg)
+        assert result.best_fitness == evaluator.evaluate([1, -1, -1, 0])
         assert result.best_fitness == pytest.approx(np.log(5.0))
-        assert ss.evaluate(store, cfg, [1, 0, 0, 0]) == pytest.approx(np.log(10.0))
+        assert evaluator.evaluate([1, 0, 0, 0]) == pytest.approx(np.log(10.0))
 
     def test_fully_recorded_box_skips_product(self):
         vectors = list(itertools.product((0, 1), repeat=3))
@@ -159,8 +160,9 @@ class TestBruteForceBound:
         result = ss.oracle_minimum(store, cfg)
         assert result.skipped_products == ()
         assert result.best_position == (1, -far, 0, 0)
-        assert result.best_fitness == ss.evaluate(store, cfg, [1, -far, 0, 0])
-        assert result.best_fitness < ss.evaluate(store, cfg, [1, far, far, far])
+        evaluator = ss.FitnessEvaluator(store, cfg)
+        assert result.best_fitness == evaluator.evaluate([1, -far, 0, 0])
+        assert result.best_fitness < evaluator.evaluate([1, far, far, far])
 
 
 class TestFarRecords:
@@ -177,7 +179,7 @@ class TestFarRecords:
         assert result == reference_oracle(store, cfg)
         assert result.best_position == (1, -3, 0, 0)
         assert result.evaluations == 2
-        record = ss.evaluate(store, cfg, [1, INT64_MAX, 0, 0])
+        record = ss.FitnessEvaluator(store, cfg).evaluate([1, INT64_MAX, 0, 0])
         assert record == pytest.approx(math.log(0.3125 * 5 + 0.0625 * 4))  # it matches itself
 
     def test_records_past_2_to_53(self):
@@ -247,14 +249,13 @@ class TestEmptyMatchCandidate:
                 candidate = ss.empty_match_candidate(store, pid, cfg)
                 assert candidate is not None
                 assert candidate[0] == pid
-                result = store.match_individual(pid, candidate[1:], radius)
-                assert result.occurrences == 0
+                assert len(store.match_individual(pid, candidate[1:], radius)) == 0
 
     def test_unknown_product_gets_trivial_candidate(self, store):
         cfg = ss.PsoConfig(match_radius=0, bounds=ss.Bounds(product_ub=9))
         candidate = ss.empty_match_candidate(store, 9, cfg)
         assert candidate is not None
-        assert store.match_individual(9, candidate[1:], 0).occurrences == 0
+        assert len(store.match_individual(9, candidate[1:], 0)) == 0
 
     def test_records_below_the_box_leave_its_edge_free(self):
         history = [(1, 1, (-5, 0, 0)), (2, 1, (10, 0, 0))]
@@ -330,12 +331,10 @@ class TestOracleMinimum:
         result = ss.oracle_minimum(store, cfg)
         assert result.evaluations == 25
         # minimum is the empty-match class of the cheapest raw-material product
-        expected = ss.evaluate(store, cfg, result.best_position)
+        expected = ss.FitnessEvaluator(store, cfg).evaluate(result.best_position)
         assert result.best_fitness == expected
         assert result.best_position[0] == 1
-        assert store.match_individual(
-            1, result.best_position[1:], 0
-        ).occurrences == 0
+        assert len(store.match_individual(1, result.best_position[1:], 0)) == 0
 
     def test_deterministic(self, store):
         cfg = ss.PsoConfig(match_radius=0)

@@ -113,7 +113,8 @@ class TestInterpret:
     def test_actions_reconstruct_signed_vector(self, levels):
         topology = ss.Topology()
         rec = ss.interpret([4] + levels, topology)
-        assert list(rec.signed_levels()) == levels
+        signs = {"increase": -1, "decrease": 1, "none": 0}
+        assert [signs[a.direction] * a.quantity for a in rec.actions] == levels
         for action, level in zip(rec.actions, levels):
             assert action.quantity == abs(level)
 
