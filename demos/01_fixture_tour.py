@@ -7,6 +7,8 @@ days.  This script loads it and walks through the queries the fitness
 function is built from.
 """
 
+import numpy as np
+
 import stockswarm as ss
 
 history_path, stock_lead_path, raw_lead_path = ss.fixture_paths()
@@ -28,9 +30,10 @@ for radius in (0, 50, 400):
     tids = store.match_individual(product, levels, radius)
     print(f"radius {radius:>3}: {len(tids)} period(s) matched, TIDs {tids.tolist()}")
 
-# The two lead-time aggregates behind the fitness formula.
-matched = store.match_individual(product, levels, 0)
-print(f"\nstock lead time over matched TIDs: {store.stock_lead_time_total(matched)} days")
+# The two lead-time aggregates behind the fitness formula.  match_counts
+# answers P(occ) and t_stock for a matrix of queries at once, as the fitness does.
+_, t_stock = store.match_counts(product, np.array([levels]), 0)
+print(f"\nstock lead time over matched TIDs: {t_stock[0]} days")
 print(f"raw-material lead time of product {product}: "
       f"{store.raw_lead_time_total(product)} days")
 

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, fixture_paths
-from .config import DEFAULT_SETTINGS, build_pso_config, build_topology, parse_settings
+from .config import DEFAULT_SETTINGS, _get_int, build_pso_config, build_topology, parse_settings
 from .domain import Topology
 from .engine import run
 from .errors import ConfigError, LogDomainError, StoreError
@@ -163,8 +163,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     options = {name: getattr(args, name) for name in names}
     synth_config = SynthConfig(
         topology=topology,
-        stock_lb=int(settings["stock_lb"]),
-        stock_ub=int(settings["stock_ub"]),
+        stock_lb=_get_int(settings, "stock_lb"),
+        stock_ub=_get_int(settings, "stock_ub"),
         **options,
     )
     try:

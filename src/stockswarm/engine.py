@@ -192,8 +192,7 @@ class FitnessEvaluator:
         # t_stock is summed in int64, and a product's largest t_stock is the
         # exact total over all of its records.
         for pid in store.products:
-            tids, _, _ = store.product_rows(pid)
-            total = store.stock_lead_time_total(tids.tolist())
+            total = sum(store.product_rows(pid)[2].tolist())  # Python ints, so exact
             if total > INT64_MAX:
                 raise ParseError(
                     f"stock lead times of product {pid} sum to {total}, past the int64 range"

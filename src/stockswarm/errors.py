@@ -17,7 +17,6 @@ __all__ = [
     "MissingLeadTimeRow",
     "MissingRawMaterial",
     "DimensionMismatch",
-    "UnknownTid",
 ]
 
 
@@ -68,6 +67,3 @@ class MissingRawMaterial(StoreError):
 class DimensionMismatch(StoreError):
     """A row or vector width disagrees with the configured chain size."""
 
-
-class UnknownTid(StoreError):
-    """A queried transportation id does not exist in the lead-time table."""

@@ -16,7 +16,6 @@ so it can be shared freely across threads.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -32,7 +31,6 @@ from .errors import (
     MissingLeadTimeRow,
     MissingRawMaterial,
     ParseError,
-    UnknownTid,
 )
 
 __all__ = [
@@ -114,7 +112,7 @@ class HistoryStore:
                 raise MissingLeadTimeRow(f"history TID {tid} has no stock-lead-time row")
             raise MissingRawMaterial(f"product {pid} appears in history but has no raw-material rows")
 
-        self._history, self._lead, self._raw, self._lead_sums = history, lead, raw, lead_sums
+        self._history, self._lead, self._raw = history, lead, raw
         self._raw_total = dict(zip(raw_pids.tolist(), raw_totals.tolist()))
         # Per-product contiguous copies for fast box matching, TIDs ascending.
         row_lead_sums = lead_sums[np.searchsorted(lead[:, 0], tids)]
@@ -227,12 +225,14 @@ class HistoryStore:
     def match_counts(
         self, product_id: int, queries: np.ndarray, radius: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """P(occ) and the summed lead time of the matched records for each row
-        of an (n, members) int64 matrix of level queries on one product.
+        """P(occ) and t_stock, the summed lead time of the matched records,
+        for each row of an (n, members) matrix of level queries on one product.
 
-        Radius 0 looks each row up among the product's distinct level rows; a
-        larger radius box-tests the records, a chunk of queries at a time.
+        A level that is not an int64 integer raises ConfigError.  Radius 0
+        looks each row up among the product's distinct level rows; a larger
+        radius box-tests the records, a chunk of queries at a time.
         """
+        queries = _int64_array(queries, ConfigError, "query")
         _, levels, lead_sums = self._entry(product_id, queries, radius)
         if radius == 0 and len(levels):  # a product without records has no groups
             rows, counts, sums = self._level_groups[int(product_id)]
@@ -265,20 +265,6 @@ class HistoryStore:
             )
         tids, rows, _ = self._entry(product_id, query[None, :], radius)
         return tids[_box_hits(rows, query[None, :], radius)[0]]
-
-    def stock_lead_time_total(self, tids: Iterable[int]) -> int:
-        """Exact sum of all link transport days over the given TIDs."""
-        tids = list(tids)
-        try:  # index() refuses a TID such as 1.5, which no table holds either
-            wanted = np.fromiter(map(operator.index, tids), dtype=np.int64, count=len(tids))
-        except (OverflowError, TypeError):
-            bad = (t for t in tids if not hasattr(t, "__index__") or not INT64_MIN <= t <= INT64_MAX)
-            raise UnknownTid(f"TID {next(bad)} has no stock-lead-time row") from None
-        rows = np.searchsorted(self._lead[:, 0], wanted)
-        found = self._lead[np.minimum(rows, len(self._lead) - 1), 0] == wanted
-        if not found.all():
-            raise UnknownTid(f"TID {wanted[~found][0]} has no stock-lead-time row")
-        return sum(self._lead_sums[rows].tolist())
 
     def raw_lead_time_total(self, product_id: int) -> int:
         """Sum of raw-material supply days for one product."""
@@ -345,6 +331,8 @@ def _table(
 def _int64_array(values, error: type[Exception], what: str) -> np.ndarray:
     """``values`` as an int64 array; a value that is not an int64 integer
     raises ``error``."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
     try:
         with np.errstate(invalid="ignore"):
             array = np.asarray(values, dtype=np.int64)
@@ -376,7 +364,7 @@ def _read_table(path: str | Path, expected_header: list[str], label: str) -> np.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {label} file {path}: {exc}") from exc
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]

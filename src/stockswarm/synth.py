@@ -14,11 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Topology
+from .domain import INT64_MAX, INT64_MIN, Topology
 from .errors import ConfigError
 from .history import _headers
 
 __all__ = ["SynthConfig", "generate", "write_fixtures"]
+
+_MAX_RAW_MATERIALS = 5  # per product; each gets 2 to this many
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,9 @@ class SynthConfig:
     raw_time_ub: int = 35
 
     def __post_init__(self) -> None:
+        for name in ("products", "stock_lb", "stock_ub"):  # the draws take int64 bounds
+            if not INT64_MIN <= getattr(self, name) <= INT64_MAX:
+                raise ConfigError(f"{name} {getattr(self, name)} is outside the int64 range")
         if self.periods < 1:
             raise ConfigError(f"periods must be positive, got {self.periods}")
         if self.products < 1:
@@ -46,6 +51,13 @@ class SynthConfig:
             raise ConfigError("link time range must be 0 <= lb <= ub")
         if not 0 <= self.raw_time_lb <= self.raw_time_ub:
             raise ConfigError("raw-material time range must be 0 <= lb <= ub")
+        # Validation rejects a lead-time row, or a product's raw-material
+        # times, that sum past int64.
+        links = self.topology.member_count - 1
+        for name, draws in (("link_time_ub", links), ("raw_time_ub", _MAX_RAW_MATERIALS)):
+            value = getattr(self, name)
+            if draws * value > INT64_MAX:
+                raise ConfigError(f"{draws} draws of {name} {value} can sum past the int64 range")
 
 
 def generate(
@@ -60,6 +72,8 @@ def generate(
     Every period gets one history row and one lead-time row (TIDs 1..n);
     every product id 1..products gets 2 to 5 raw materials.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     l = config.topology.member_count
     history = []
@@ -78,7 +92,7 @@ def generate(
         leads.append((tid, times))
     raws = []
     for pid in range(1, config.products + 1):
-        count = int(rng.integers(2, 6))
+        count = int(rng.integers(2, _MAX_RAW_MATERIALS + 1))
         for rm in range(1, count + 1):
             time = int(rng.integers(config.raw_time_lb, config.raw_time_ub + 1))
             raws.append((pid, rm, time))

@@ -57,8 +57,9 @@ def test_criterion_3_worked_fitness_example(store):
 
 
 def test_criterion_4_table_aggregates(store):
-    assert store.stock_lead_time_total([1]) == 121
-    assert store.stock_lead_time_total([1, 2]) == 248
+    assert store.history[0, :2].tolist() == [1, 3]  # TID 1 is product 3's record
+    assert store.match_counts(3, store.history[:1, 2:], 0)[1].tolist() == [121]
+    assert sum(store.lead[:2, 1:].ravel().tolist()) == 248  # TIDs 1 and 2
     assert store.raw_lead_time_total(3) == 89
     assert store.raw_lead_time_total(1) == 31
     pi3 = [r for r in store.records if r.product_id == 3]

@@ -115,8 +115,26 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    def test_non_utf8_table_exit_2(self, tmp_path, paths, capsys):
+        bad = tmp_path / "stock_history.csv"
+        bad.write_bytes(paths[0].read_bytes().replace(b"632", b"6\xff2", 1))
+        assert main(["validate", "--history", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read history file {bad}: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
+
 
 class TestOptimizeCommand:
+    def test_non_utf8_config_exit_3(self, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_bytes(b"swarm_size = 1\xff\n")
+        code = main(["optimize", "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {conf}: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_reports_and_manifest_written(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["optimize", "--seed", "42", "--out", str(out), "--format", "json"])
@@ -478,6 +496,33 @@ class TestSynthCommand:
         code = main(["synth", "--out", str(blocker / "sub")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, flags, message",
+        [
+            ("stock_lb = abc", [], "config key stock_lb: 'abc' is not an integer"),
+            ("", ["--seed", "-1"], "seed must be non-negative, got -1"),
+            ("stock_ub = 100000000000000000000", [],
+             "stock_ub 100000000000000000000 is outside the int64 range"),
+            ("", ["--raw-time-ub", "99999999999999999999"],
+             "5 draws of raw_time_ub 99999999999999999999 can sum past the int64 range"),
+            ("", ["--link-time-lb", str(2**62), "--link-time-ub", str(2**62)],
+             f"6 draws of link_time_ub {2**62} can sum past the int64 range"),
+            ("", ["--raw-time-ub", str(2**62)],
+             f"5 draws of raw_time_ub {2**62} can sum past the int64 range"),
+        ],
+        ids=[
+            "stock_lb-abc", "seed-negative", "stock_ub-1e20", "raw_time_ub-1e20",
+            "link-sum-past-int64", "raw-sum-past-int64",
+        ],
+    )
+    def test_bad_setting_exit_3(self, tmp_path, capsys, setting, flags, message):
+        conf = tmp_path / "synth.conf"
+        conf.write_text(setting + "\n")
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(conf), "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_synthetic_optimize_round_trip(self, tmp_path):
         gen = tmp_path / "gen"

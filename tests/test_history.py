@@ -15,7 +15,6 @@ from stockswarm.errors import (
     MissingLeadTimeRow,
     MissingRawMaterial,
     ParseError,
-    UnknownTid,
 )
 
 
@@ -229,15 +228,23 @@ class TestMatching:
 
 class TestLeadTimeQueries:
     def test_reference_sums(self, store):
-        assert store.stock_lead_time_total([1]) == 121
-        assert store.stock_lead_time_total([1, 2]) == 248
-        assert store.stock_lead_time_total([]) == 0
+        assert store.history[0, :2].tolist() == [1, 3]
+        levels = store.history[:1, 2:]
+        occ, t_stock = store.match_counts(3, np.concatenate([levels, levels + 10**6]), 0)
+        assert (occ.tolist(), t_stock.tolist()) == ([1, 0], [121, 0])
+        assert sum(store.lead[:2, 1:].ravel().tolist()) == 248  # TIDs 1 and 2
         assert store.raw_lead_time_total(3) == 89
         assert store.raw_lead_time_total(1) == 31
 
     def test_sums_match_independent_parse(self, store, raw_tables):
-        for row in raw_tables[1][1]:
-            assert store.stock_lead_time_total([row[0]]) == sum(row[1:])
+        link_days = {row[0]: sum(row[1:]) for row in raw_tables[1][1]}
+        for pid in store.products:
+            tids, _, sums = store.product_rows(pid)
+            assert sums.tolist() == [link_days[t] for t in tids.tolist()]
+        for _, pid, *levels in raw_tables[0][1]:
+            same = [row[0] for row in raw_tables[0][1] if row[1] == pid and row[2:] == levels]
+            occ, t_stock = store.match_counts(pid, np.array([levels]), 0)
+            assert (occ.tolist(), t_stock.tolist()) == ([len(same)], [sum(link_days[t] for t in same)])
         totals = {}
         for pid, _, t in raw_tables[2][1]:
             totals[pid] = totals.get(pid, 0) + t
@@ -245,21 +252,14 @@ class TestLeadTimeQueries:
             assert store.raw_lead_time_total(pid) == expected
 
     def test_additivity_over_disjoint_sets(self, store):
-        for a, b in itertools.combinations([(1, 4), (2,), (7, 9, 12)], 2):
-            assert store.stock_lead_time_total(a) + store.stock_lead_time_total(
-                b
-            ) == store.stock_lead_time_total(list(a) + list(b))
-
-    def test_unknown_tid(self, store):
-        with pytest.raises(UnknownTid, match="999"):
-            store.stock_lead_time_total([1, 999])
-        with pytest.raises(UnknownTid, match=str(2**70)):
-            store.stock_lead_time_total([1, 2**70])
-
-    @pytest.mark.parametrize("tid", [1.5, 2.0, "1", float("nan"), None, np.uint64(2**63)])
-    def test_tid_that_is_no_integer_is_unknown(self, store, tid):
-        with pytest.raises(UnknownTid, match=f"TID {tid} has"):
-            store.stock_lead_time_total([1, tid])
+        # t_stock of a query is the sum of its matched records' link days
+        link_days = {t: sum(lt) for t, *lt in store.lead.tolist()}
+        for pid, radius in itertools.product(store.products, [0, 50, 400, 10**6]):
+            levels = store.product_rows(pid)[1]
+            occ, t_stock = store.match_counts(pid, levels, radius)
+            for row, n, total in zip(levels, occ.tolist(), t_stock.tolist()):
+                tids = store.match_individual(pid, row, radius).tolist()
+                assert (n, total) == (len(tids), sum(link_days[t] for t in tids))
 
     def test_unknown_product_raw(self, store):
         with pytest.raises(MissingRawMaterial):
@@ -307,8 +307,6 @@ def assert_same_store(a, b):
         for x, y in zip(a.product_rows(pid), b.product_rows(pid)):
             assert x.dtype == y.dtype == np.int64
             assert np.array_equal(x, y)
-        tids = a.product_rows(pid)[0].tolist()
-        assert a.stock_lead_time_total(tids) == b.stock_lead_time_total(tids)
     for pid in {r.product_id for r in a.raw_records}:
         assert a.raw_lead_time_total(pid) == b.raw_lead_time_total(pid)
 
@@ -391,8 +389,7 @@ class TestOneConstructor:
         assert [(r.tid, r.product_id, r.levels) for r in built.records] == sorted(history)
         assert [(r.tid, r.link_times) for r in built.lead_records] == sorted(leads)
         assert [(r.product_id, r.raw_material_id, r.time) for r in built.raw_records] == sorted(raws)
-        for tid, total in lead_sums.items():
-            assert built.stock_lead_time_total([tid]) == total
+        assert {t: sum(lt) for t, *lt in built.lead.tolist()} == lead_sums
         for pid in built.products:
             tids, _, sums = built.product_rows(pid)
             assert sums.tolist() == [lead_sums[t] for t in tids.tolist()]
@@ -420,7 +417,15 @@ class TestOneConstructor:
             )
         else:
             assert result.product_rows(1)[2].tolist() == [sum(lt) for _, lt in leads]
-            assert result.stock_lead_time_total(range(1, len(cells) + 1)) == sum(map(sum, cells))
+            # every record has level row 0, so one radius-0 query matches them all
+            total = sum(map(sum, cells))
+            if total > INT64_MAX:
+                with pytest.raises(ParseError, match=f"product 1 sum to {total}, past the int64"):
+                    ss.FitnessEvaluator(result, ss.PsoConfig())
+            else:
+                ss.FitnessEvaluator(result, ss.PsoConfig())
+                occ, t_stock = result.match_counts(1, np.zeros((1, 7), dtype=np.int64), 0)
+                assert (occ.tolist(), t_stock.tolist()) == ([len(cells)], [total])
 
     # Single-defect inputs on the 3-member rows of ``tiny_rows``: each edit
     # and the error both constructors must raise for it.

@@ -1,8 +1,8 @@
 """The one matcher against a brute-force reference.
 
-``evaluate_batch``, ``evaluate`` and ``match_individual`` all go through the
-box test in ``HistoryStore``; the reference below is a plain loop over
-``store.records`` that shares no code with it.
+``evaluate_batch``, ``evaluate``, ``match_counts`` and ``match_individual``
+all go through the matcher in ``HistoryStore``; the reference below is a
+plain loop over ``store.records`` that shares no code with it.
 """
 
 import math
@@ -105,6 +105,20 @@ class TestAgainstReference:
         tids, _ = reference_match(store, query[0], query[1:], radius)
         assert got.tolist() == tids
 
+    @pytest.mark.parametrize("radius", RADII)
+    @given(store=small_stores(), batch=st.lists(queries, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_match_counts(self, radius, store, batch):
+        # one product per call, as evaluate_batch asks; product 5 has no records
+        for pid in range(1, 6):
+            levels = np.array([q[1:] for q in batch], dtype=np.int64).reshape(-1, 3)
+            occ, t_stock = store.match_counts(pid, levels, radius)
+            want = [reference_match(store, pid, q, radius) for q in levels.tolist()]
+            assert occ.dtype == t_stock.dtype == np.int64
+            assert occ.tolist() == [len(tids) for tids, _ in want]
+            assert t_stock.tolist() == [lead for _, lead in want]
+            assert [a.tolist() for a in store.match_counts(pid, levels[:0], radius)] == [[], []]
+
     @pytest.mark.parametrize("comparisons", [1, 10, 40])
     @given(store=small_stores(), batch=positions)
     @settings(max_examples=40, deadline=None)
@@ -205,6 +219,22 @@ class TestQueriesOutsideInt64:
             store.match_individual(3, levels, 0)
         with pytest.raises(ConfigError, match="int64"):
             store.match_individual(3, np.array(levels, dtype=np.float64), 0)
+
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    @pytest.mark.parametrize(
+        "level", [632.7, 632.5, 2.0**63, math.nan, 2**70], ids=["632.7", "632.5", "2**63", "nan", "2**70"]
+    )
+    def test_match_counts_rejects_level(self, store, radius, level):
+        # 632.7 once truncated to 632 and matched TID 1
+        query = np.array([[level, 424, 247, -298, -115, 365, 961]], dtype=object)
+        for queries in (query, query.astype(np.float64), query.tolist()):
+            with pytest.raises(ConfigError, match="int64"):
+                store.match_counts(3, queries, radius)
+
+    def test_match_counts_accepts_integral_floats(self, store):
+        occ, t_stock = store.match_counts(3, np.array([[632.0, 424, 247, -298, -115, 365, 961]]), 0)
+        assert (occ.tolist(), t_stock.tolist()) == ([1], [121])
 
 
 class TestIntegerPositions:

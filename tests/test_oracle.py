@@ -366,7 +366,8 @@ class TestOracleMinimum:
         product_3 = [r for r in store.records if r.product_id == 3]
         assert len(product_3) == 7
         record_vector = (3, *product_3[0].levels)
-        t_stock = store.stock_lead_time_total(r.tid for r in product_3)
+        tids = {r.tid for r in product_3}
+        t_stock = sum(sum(lt) for t, *lt in store.lead.tolist() if t in tids)
         expected = evaluator.score(np.array([3]), np.array([7]), np.array([t_stock]))[0]
         assert evaluator.evaluate([float(v) for v in record_vector]) == expected
         result = ss.oracle_minimum(store, cfg)
