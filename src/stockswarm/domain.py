@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,15 @@ __all__ = [
 ]
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int if ``operator.index`` accepts it; otherwise
+    ConfigError naming the setting."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def total_agents(agents_per_dc: list[int] | tuple[int, ...]) -> int:
@@ -93,6 +103,7 @@ class Bounds:
 
     def __post_init__(self) -> None:
         for name in ("product_lb", "product_ub", "stock_lb", "stock_ub"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
             if not INT64_MIN <= getattr(self, name) <= INT64_MAX:
                 raise ConfigError(f"{name} {getattr(self, name)} is outside the int64 range")
         if self.product_lb > self.product_ub:

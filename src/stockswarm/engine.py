@@ -33,6 +33,7 @@ from .domain import (
     PriorityConfig,
     Topology,
     Weights,
+    _integer,
     dimension,
     round_half_away_from_zero,
     weights_from_priorities,
@@ -107,6 +108,8 @@ class PsoConfig:
     per_dimension_r: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("swarm_size", "max_iterations", "match_radius", "stall_window", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("c1", "c2", "w_max", "w_min"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -184,7 +187,7 @@ class FitnessEvaluator:
 
     def __init__(self, store: HistoryStore, config: PsoConfig) -> None:
         self._store = store
-        self._radius = int(config.match_radius)
+        self._radius = config.match_radius
         self._weights = weights_from_priorities(config.priorities)
         self._log = np.log if config.log_base == "natural" else np.log10
         self._total = store.total_periods

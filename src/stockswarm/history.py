@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import INT64_MAX, INT64_MIN, Topology
+from .domain import INT64_MAX, INT64_MIN, Topology, _integer
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -41,8 +42,8 @@ __all__ = [
     "load_store",
 ]
 
-# Record comparisons (queries x records x members) per box test at radius > 0:
-# about one default swarm against a 4,000-record product of 7 members.
+# Comparisons (queries x distinct level rows x members) per box test at
+# radius > 0: about one default swarm against 4,000 rows of 7 members.
 _BOX_TEST_COMPARISONS = 2**20
 
 
@@ -114,17 +115,16 @@ class HistoryStore:
 
         self._history, self._lead, self._raw = history, lead, raw
         self._raw_total = dict(zip(raw_pids.tolist(), raw_totals.tolist()))
-        # Per-product contiguous copies for fast box matching, TIDs ascending.
         row_lead_sums = lead_sums[np.searchsorted(lead[:, 0], tids)]
         by_product = np.argsort(pids, kind="stable")
         products, starts = np.unique(pids[by_product], return_index=True)
         self._by_product = {
-            pid: (tids[rows], history[rows, 2:], row_lead_sums[rows])
+            pid: _product_index(tids[rows], history[rows, 2:], row_lead_sums[rows])
             for pid, rows in zip(products.tolist(), np.split(by_product, starts[1:]))
         }
-        for array in (history, lead, raw, lead_sums, *sum(self._by_product.values(), ())):
+        for array in chain((history, lead, raw), *self._by_product.values()):
             array.flags.writeable = False
-        self._no_records = (history[:0, 0], history[:0, 2:], lead_sums[:0])
+        self._no_records = _product_index(history[:0, 0], history[:0, 2:], lead_sums[:0])
 
     @classmethod
     def from_records(
@@ -196,26 +196,13 @@ class HistoryStore:
         """Read-only TIDs, (rows, members) level matrix and per-row lead-time
         sums of one product's records in ascending TID order, or None when it
         has no records."""
-        return self._by_product.get(int(product_id))
-
-    @cached_property
-    def _level_groups(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per product: its distinct level rows as sorted byte strings, and each
-        one's record count and summed lead time; built on the first radius-0 query."""
-        groups = {}
-        for pid, (_, levels, lead_sums) in self._by_product.items():
-            rows = _row_bytes(levels)
-            order = np.argsort(rows)  # sorting rows as bytes makes equal rows adjacent
-            rows = rows[order]
-            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-            counts = np.diff(np.r_[starts, len(rows)])
-            groups[pid] = (rows[starts], counts, np.add.reduceat(lead_sums[order], starts))
-        return groups
+        entry = self._by_product.get(int(product_id))
+        return None if entry is None else entry[:3]
 
     def _entry(self, product_id: int, queries: np.ndarray, radius: int) -> tuple[np.ndarray, ...]:
         """The product's index entry (empty without records), once ``radius``
         and the (n, members) shape of ``queries`` are checked."""
-        if radius < 0:
+        if _integer(radius, "matching radius") < 0:
             raise ConfigError(f"matching radius must be non-negative, got {radius}")
         members = self._topology.member_count
         if queries.ndim != 2 or queries.shape[1] != members:
@@ -230,21 +217,20 @@ class HistoryStore:
 
         A level that is not an int64 integer raises ConfigError.  Radius 0
         looks each row up among the product's distinct level rows; a larger
-        radius box-tests the records, a chunk of queries at a time.
+        radius box-tests those rows, a chunk of queries at a time.
         """
         queries = _int64_array(queries, ConfigError, "query")
-        _, levels, lead_sums = self._entry(product_id, queries, radius)
-        if radius == 0 and len(levels):  # a product without records has no groups
-            rows, counts, sums = self._level_groups[int(product_id)]
+        *_, keys, rows, counts, sums, _ = self._entry(product_id, queries, radius)
+        if radius == 0 and len(keys):  # a product without records has no rows to look up
             wanted = _row_bytes(queries)
-            at = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
-            found = rows[at] == wanted
+            at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+            found = keys[at] == wanted
             return np.where(found, counts[at], 0), np.where(found, sums[at], 0)
         occ, t_stock = np.zeros((2, len(queries)), dtype=np.int64)
-        step = max(1, _BOX_TEST_COMPARISONS // max(1, levels.size))
+        step = max(1, _BOX_TEST_COMPARISONS // max(1, rows.size))
         for i in range(0, len(queries), step):
-            hits = _box_hits(levels, queries[i : i + step], radius)
-            occ[i : i + step], t_stock[i : i + step] = hits.sum(axis=1), hits @ lead_sums
+            hits = _box_hits(rows, queries[i : i + step], radius)
+            occ[i : i + step], t_stock[i : i + step] = hits @ counts, hits @ sums
         return occ, t_stock
 
     def match_individual(
@@ -263,8 +249,8 @@ class HistoryStore:
             raise DimensionMismatch(
                 f"query has {query.size} stock entries, expected {self._topology.member_count}"
             )
-        tids, rows, _ = self._entry(product_id, query[None, :], radius)
-        return tids[_box_hits(rows, query[None, :], radius)[0]]
+        tids, *_, rows, _, _, record_row = self._entry(product_id, query[None, :], radius)
+        return tids[_box_hits(rows, query[None, :], radius)[0][record_row]]
 
     def raw_lead_time_total(self, product_id: int) -> int:
         """Sum of raw-material supply days for one product."""
@@ -292,6 +278,19 @@ def _row_bytes(matrix: np.ndarray) -> np.ndarray:
     """Each row of an int64 matrix as one byte string, equal for equal rows."""
     matrix = np.ascontiguousarray(matrix, dtype=np.int64)
     return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1])))[:, 0]
+
+
+def _product_index(tids: np.ndarray, levels: np.ndarray, lead_sums: np.ndarray) -> tuple:
+    """One product's index entry: its records' TIDs, level rows and lead-time
+    sums in TID order; its distinct level rows, as sorted byte strings and as
+    a matrix, with each one's record count and summed lead time; and each
+    record's distinct row."""
+    keys, first, record_row, counts = np.unique(
+        _row_bytes(levels), return_index=True, return_inverse=True, return_counts=True
+    )
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, record_row, lead_sums)
+    return tids, levels, lead_sums, keys, levels[first], counts, sums, record_row
 
 
 def _headers(member_count: int) -> tuple[list[str], list[str], list[str]]:

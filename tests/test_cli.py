@@ -232,6 +232,21 @@ class TestOptimizeCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("c1 = abc", "config key c1: 'abc' is not a number"),
+            ("per_dimension_r = maybe", "config key per_dimension_r: expected true or false, got 'maybe'"),
+        ],
+        ids=["float", "bool"],
+    )
+    def test_unparsable_setting_exit_3(self, tmp_path, capsys, setting, message):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(setting + "\n")
+        code = main(["optimize", "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_lead_time_total_past_int64_exit_2(self, tmp_path, paths, capsys):
         # two product-3 periods whose link days each fit int64 but not together
         tids = [line.split(",")[0] for line in paths[0].read_text().splitlines()[1:]
@@ -342,6 +357,31 @@ class TestOracleCommand:
         settings = parse_settings(conf)
         store = ss.load_store(*(tmp_path / name for name in files), build_topology(settings))
         return code, tmp_path / "orc" / "oracle.json", store, build_pso_config(settings, seed=0)
+
+    def test_skipped_product_line(self, tmp_path, capsys):
+        # one member whose records at 0 and 1 cover the stock range [0, 1]
+        files = {
+            "stock_history.csv": "TID,PI,F1\n1,1,0\n2,1,1\n",
+            "stock_lead_times.csv": "TID\n1\n2\n",
+            "raw_material_lead_times.csv": "PI,RM,T\n1,1,5\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        conf = tmp_path / "one.conf"
+        conf.write_text(
+            "member_count = 1\ndc_count = 0\nagents_per_dc =\nmatch_radius = 0\n"
+            "product_lb = 1\nproduct_ub = 1\nstock_lb = 0\nstock_ub = 1\n"
+        )
+        code = main([
+            "oracle", "--config", str(conf), "--out", str(tmp_path / "orc"),
+            *(f"--{flag}={tmp_path / name}" for flag, name in zip(("history", "stock-lead", "raw-lead"), files)),
+        ])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert stdout.splitlines()[-1] == (
+            "no empty-match candidate for products: [1] (radius blankets their stock range)"
+        )
+        assert json.loads((tmp_path / "orc" / "oracle.json").read_text())["skipped_products"] == [1]
 
     def test_record_at_int64_max(self, tmp_path, capsys):
         code, body, store, config = self._three_member_oracle(

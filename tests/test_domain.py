@@ -87,6 +87,17 @@ class TestBounds:
         with pytest.raises(ConfigError, match="int64"):
             ss.Bounds(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("product_lb", 0.5), ("product_ub", 5.5), ("stock_lb", -1000.5), ("stock_ub", "1000")],
+    )
+    def test_rejects_non_integer_bound(self, store, name, value):
+        # product_lb 0.5 once reached run's and the oracle's range() as
+        # TypeError; stock_lb -1000.5 ran, and the oracle reported -1000
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            config = ss.PsoConfig(bounds=ss.Bounds(**{name: value}), match_radius=0)
+            ss.oracle_minimum(store, config)
+
     @pytest.mark.parametrize("fraction", [float("inf"), float("nan"), 1e308])
     def test_rejects_velocity_fraction_without_finite_limits(self, fraction):
         with pytest.raises(ConfigError, match="velocity_fraction"):

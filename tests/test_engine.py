@@ -73,6 +73,29 @@ class TestPsoConfigValidation:
         with pytest.raises(ConfigError):
             ss.PsoConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("swarm_size", 3.5),
+            ("max_iterations", 2.5),
+            ("match_radius", 2.5),
+            ("stall_window", 0.5),
+            ("seed", 1.5),
+            ("match_radius", "1"),
+            ("seed", None),
+        ],
+    )
+    def test_rejects_non_integer_setting(self, store, name, value):
+        # max_iterations 2.5 once reached run's range() and seed 1.5 the
+        # SeedSequence, as TypeError; match_radius 2.5 was truncated to 2
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ss.run(store, store.topology, ss.PsoConfig(**{name: value}))
+
+    def test_accepts_integer_types(self):
+        config = ss.PsoConfig(swarm_size=np.int64(3), match_radius=np.uint8(0), seed=np.uint64(2**64 - 1))
+        assert (config.swarm_size, config.match_radius, config.seed) == (3, 0, 2**64 - 1)
+        assert type(config.match_radius) is int
+
     def test_accepts_bounds_whose_reach_fits_int64(self):
         # 2**62 is exact in float64, and 2**62 + 100 fits in int64
         ss.PsoConfig(bounds=ss.Bounds(stock_lb=-(2**62), stock_ub=2**62), match_radius=100)

@@ -1,6 +1,7 @@
 """Loading, cross-validation and box matching of the historical tables."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -167,6 +168,12 @@ class TestLoadErrors:
         with pytest.raises(ParseError, match="no records"):
             ss.HistoryStore.from_records(topology, [], leads, raws)
 
+    def test_constructor_checks_history_width(self, store):
+        # TID, PI and three levels where the chain has seven members
+        history = np.array([[1, 3, 0, 0, 0], [2, 3, 0, 0, 0]])
+        with pytest.raises(DimensionMismatch, match=r"history table has shape \(2, 5\), expected \(n, 9\)"):
+            ss.HistoryStore(store.topology, history, store.lead, store.raw)
+
 
 class TestMatching:
     def test_exact_match_on_own_vector(self, store, raw_tables):
@@ -221,9 +228,28 @@ class TestMatching:
         with pytest.raises(DimensionMismatch):
             store.match_individual(1, [0, 0, 0], 0)
 
+    def test_match_counts_wrong_query_width(self, store):
+        with pytest.raises(DimensionMismatch, match=r"queries have shape \(1, 2\), expected \(n, 7\)"):
+            store.match_counts(3, np.zeros((1, 2), dtype=np.int64), 0)
+
     def test_negative_radius(self, store):
         with pytest.raises(ConfigError):
             store.match_individual(1, [0] * 7, -1)
+
+    @pytest.mark.parametrize("radius", [math.nan, 2.5, "1", None, np.float64(1.0)])
+    def test_non_integer_radius(self, store, radius):
+        # NaN once raised ValueError, "1" and None TypeError, and 2.5 matched
+        # as radius 2
+        with pytest.raises(ConfigError, match="matching radius must be an integer"):
+            store.match_individual(1, [0] * 7, radius)
+        with pytest.raises(ConfigError, match="matching radius must be an integer"):
+            store.match_counts(1, np.zeros((1, 7), dtype=np.int64), radius)
+
+    def test_integer_radius_types(self, store):
+        query = store.history[:1, 2:]  # TID 1, product 3
+        for radius in (np.int64(0), np.uint64(0), np.int8(0)):
+            assert [a.tolist() for a in store.match_counts(3, query, radius)] == [[1], [121]]
+            assert store.match_individual(3, query[0], radius).tolist() == [1]
 
 
 class TestLeadTimeQueries:

@@ -61,10 +61,10 @@ RADII = [0, 1, 6]
 
 
 @st.composite
-def small_stores(draw):
+def small_stores(draw, level=st.integers(min_value=-3, max_value=3)):
     """A 3-member store whose records use products 1..4 only; product 5
     and any product the draw leaves out have raw rows but no records."""
-    levels = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3)
+    levels = st.tuples(*[level] * 3)
     rows = draw(
         st.lists(st.tuples(st.integers(min_value=1, max_value=4), levels), min_size=1, max_size=12)
     )
@@ -75,20 +75,28 @@ def small_stores(draw):
     return ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, raws)
 
 
+# Dense stores draw each level from {-1, 1}: a product has 8 possible level
+# rows, so its records often repeat one, and a match counts and sums every
+# record of a repeated row.
+stores = st.one_of(small_stores(), small_stores(st.sampled_from([-1, 1])))
+
 positions = st.lists(
     st.tuples(
         st.floats(min_value=0.5, max_value=5.49),
-        *[st.floats(min_value=-4.5, max_value=4.5)] * 3,
+        *[st.floats(min_value=-4.5, max_value=4.5) | st.sampled_from([-1.0, 1.0])] * 3,
     ),
     min_size=1,
     max_size=12,
 )
-queries = st.tuples(st.integers(min_value=1, max_value=5), *[st.integers(min_value=-4, max_value=4)] * 3)
+queries = st.tuples(
+    st.integers(min_value=1, max_value=5),
+    *[st.integers(min_value=-4, max_value=4) | st.sampled_from([-1, 1])] * 3,
+)
 
 
 class TestAgainstReference:
     @pytest.mark.parametrize("radius", RADII)
-    @given(store=small_stores(), batch=positions)
+    @given(store=stores, batch=positions)
     @settings(max_examples=60, deadline=None)
     def test_evaluate_batch_bitwise(self, radius, store, batch):
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=radius))
@@ -98,7 +106,7 @@ class TestAgainstReference:
         assert hexes(evaluator.evaluate(p) for p in batch) == hexes(want)
 
     @pytest.mark.parametrize("radius", RADII)
-    @given(store=small_stores(), query=queries)
+    @given(store=stores, query=queries)
     @settings(max_examples=60, deadline=None)
     def test_match_individual_tids(self, radius, store, query):
         got = store.match_individual(query[0], query[1:], radius)
@@ -106,12 +114,14 @@ class TestAgainstReference:
         assert got.tolist() == tids
 
     @pytest.mark.parametrize("radius", RADII)
-    @given(store=small_stores(), batch=st.lists(queries, max_size=12))
+    @given(store=stores, batch=st.lists(queries, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_match_counts(self, radius, store, batch):
-        # one product per call, as evaluate_batch asks; product 5 has no records
+        # one product per call, as evaluate_batch asks; product 5 has no records.
+        # The recorded rows are queries too, so radius 0 finds every repeated row.
+        levels = np.array([q[1:] for q in batch], dtype=np.int64).reshape(-1, 3)
+        levels = np.concatenate([levels, store.history[:, 2:]])
         for pid in range(1, 6):
-            levels = np.array([q[1:] for q in batch], dtype=np.int64).reshape(-1, 3)
             occ, t_stock = store.match_counts(pid, levels, radius)
             want = [reference_match(store, pid, q, radius) for q in levels.tolist()]
             assert occ.dtype == t_stock.dtype == np.int64
@@ -120,10 +130,10 @@ class TestAgainstReference:
             assert [a.tolist() for a in store.match_counts(pid, levels[:0], radius)] == [[], []]
 
     @pytest.mark.parametrize("comparisons", [1, 10, 40])
-    @given(store=small_stores(), batch=positions)
+    @given(store=stores, batch=positions)
     @settings(max_examples=40, deadline=None)
     def test_evaluate_batch_across_box_test_chunks(self, comparisons, store, batch):
-        # The chunk size is comparisons // (records * members) queries, at
+        # The chunk size is comparisons // (distinct rows * members) queries, at
         # least one, so a tiny budget splits every product's queries.
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=1))
         want = reference_fitness(store, evaluator, batch, 1)
