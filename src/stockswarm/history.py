@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,9 +41,9 @@ __all__ = [
     "load_store",
 ]
 
-# Comparisons (queries x distinct level rows x members) per box test at
-# radius > 0: about one default swarm against 4,000 rows of 7 members.
-_BOX_TEST_COMPARISONS = 2**20
+# Window rows gathered at once by the box test at radius > 0; each of its
+# flat index arrays holds at most this many elements.
+_GATHER_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -113,18 +112,12 @@ class HistoryStore:
                 raise MissingLeadTimeRow(f"history TID {tid} has no stock-lead-time row")
             raise MissingRawMaterial(f"product {pid} appears in history but has no raw-material rows")
 
-        self._history, self._lead, self._raw = history, lead, raw
+        self._history, self._lead, self._raw = (_frozen(a) for a in (history, lead, raw))
         self._raw_total = dict(zip(raw_pids.tolist(), raw_totals.tolist()))
         row_lead_sums = lead_sums[np.searchsorted(lead[:, 0], tids)]
-        by_product = np.argsort(pids, kind="stable")
-        products, starts = np.unique(pids[by_product], return_index=True)
-        self._by_product = {
-            pid: _product_index(tids[rows], history[rows, 2:], row_lead_sums[rows])
-            for pid, rows in zip(products.tolist(), np.split(by_product, starts[1:]))
-        }
-        for array in chain((history, lead, raw), *self._by_product.values()):
-            array.flags.writeable = False
-        self._no_records = _product_index(history[:0, 0], history[:0, 2:], lead_sums[:0])
+        self._by_product = _product_index(history, row_lead_sums)
+        # the entry of a product without records: every array empty, shapes kept
+        self._no_records = _Entry(*(a[:0] for a in next(iter(self._by_product.values()))))
 
     @classmethod
     def from_records(
@@ -199,7 +192,7 @@ class HistoryStore:
         entry = self._by_product.get(int(product_id))
         return None if entry is None else entry[:3]
 
-    def _entry(self, product_id: int, queries: np.ndarray, radius: int) -> tuple[np.ndarray, ...]:
+    def _entry(self, product_id: int, queries: np.ndarray, radius: int) -> _Entry:
         """The product's index entry (empty without records), once ``radius``
         and the (n, members) shape of ``queries`` are checked."""
         if _integer(radius, "matching radius") < 0:
@@ -217,20 +210,21 @@ class HistoryStore:
 
         A level that is not an int64 integer raises ConfigError.  Radius 0
         looks each row up among the product's distinct level rows; a larger
-        radius box-tests those rows, a chunk of queries at a time.
+        radius box-tests the distinct rows inside each query's member-1
+        window, a bounded number of rows at a time.
         """
         queries = _int64_array(queries, ConfigError, "query")
-        *_, keys, rows, counts, sums, _ = self._entry(product_id, queries, radius)
+        entry = self._entry(product_id, queries, radius)
+        keys, counts, sums = entry.keys, entry.counts, entry.sums
         if radius == 0 and len(keys):  # a product without records has no rows to look up
-            wanted = _row_bytes(queries)
+            wanted = _numeric_keys(queries)
             at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
             found = keys[at] == wanted
             return np.where(found, counts[at], 0), np.where(found, sums[at], 0)
         occ, t_stock = np.zeros((2, len(queries)), dtype=np.int64)
-        step = max(1, _BOX_TEST_COMPARISONS // max(1, rows.size))
-        for i in range(0, len(queries), step):
-            hits = _box_hits(rows, queries[i : i + step], radius)
-            occ[i : i + step], t_stock[i : i + step] = hits @ counts, hits @ sums
+        for query, row in _window_hits(entry.rows, queries, radius):
+            np.add.at(occ, query, counts[row])
+            np.add.at(t_stock, query, sums[row])
         return occ, t_stock
 
     def match_individual(
@@ -249,8 +243,11 @@ class HistoryStore:
             raise DimensionMismatch(
                 f"query has {query.size} stock entries, expected {self._topology.member_count}"
             )
-        tids, *_, rows, _, _, record_row = self._entry(product_id, query[None, :], radius)
-        return tids[_box_hits(rows, query[None, :], radius)[0][record_row]]
+        entry = self._entry(product_id, query[None, :], radius)
+        hit = np.zeros(len(entry.rows), dtype=bool)
+        for _, row in _window_hits(entry.rows, query[None, :], radius):
+            hit[row] = True
+        return entry.tids[hit[entry.record_row]]
 
     def raw_lead_time_total(self, product_id: int) -> int:
         """Sum of raw-material supply days for one product."""
@@ -262,35 +259,127 @@ class HistoryStore:
             ) from None
 
 
-def _box_hits(levels: np.ndarray, queries: np.ndarray, radius: int) -> np.ndarray:
-    """A (queries, records) matrix that is True where a record's level row
-    lies within ``radius`` of a query on every member."""
-    # q -/+ radius, saturated: flipping the sign bit maps int64 onto uint64 in order.
+class _Entry(NamedTuple):
+    """One product's index entry.  Its records in TID order: ``tids``,
+    ``levels`` and per-record lead-time sums ``lead_sums``.  Its distinct
+    level rows in numeric order, so member 1 ascends: as ``_numeric_keys``
+    byte strings (``keys``) and as a matrix (``rows``), with each one's
+    record count and summed lead time.  And each record's distinct row."""
+
+    tids: np.ndarray
+    levels: np.ndarray
+    lead_sums: np.ndarray
+    keys: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
+    record_row: np.ndarray
+
+
+def _product_index(history: np.ndarray, lead_sums: np.ndarray) -> dict[int, _Entry]:
+    """Every product's index entry, from one sort of the ``(PI, F1..Fl)``
+    rows of a TID-sorted history matrix: the distinct rows of one product
+    form one contiguous block of the sorted rows."""
+    table, counts, sums, row_of = _distinct_rows(history[:, 1:], lead_sums)
+    row_pids, rows = table[:, 0], table[:, 1:]
+    block = np.flatnonzero(np.diff(row_pids, prepend=0))  # each product's first row, as PI >= 1
+    block_end = np.append(block[1:], len(rows))
+    row_of -= np.repeat(block, block_end - block)[row_of]  # counted from its product's first row
+    by_product = np.argsort(history[:, 1], kind="stable")  # TIDs ascend within a product
+    record_count = np.add.reduceat(counts, block)
+    record_end = np.cumsum(record_count)
+    records = (history[by_product, 0], history[by_product, 2:], lead_sums[by_product])
+    distinct = (_numeric_keys(rows), rows, counts, sums)
+    records, distinct = [_frozen(a) for a in records], [_frozen(a) for a in distinct]
+    record_row = _frozen(row_of[by_product])
+    return {
+        pid: _Entry(
+            *(a[r0:r1] for a in records), *(a[k0:k1] for a in distinct), record_row[r0:r1]
+        )
+        for pid, r0, r1, k0, k1 in zip(
+            row_pids[block].tolist(),
+            (record_end - record_count).tolist(),
+            record_end.tolist(),
+            block.tolist(),
+            block_end.tolist(),
+        )
+    }
+
+
+def _distinct_rows(
+    table: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of an int64 matrix in numeric order, column-major
+    so that each column is contiguous; each one's count and summed weight;
+    and each input row's distinct row."""
+    order = np.argsort(_numeric_keys(table))
+    ordered = table[order]
+    new = np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1))
+    first = np.flatnonzero(new)
+    row_of = np.empty(len(order), dtype=np.intp)
+    row_of[order] = np.cumsum(new) - 1
+    counts = np.diff(first, append=len(order))
+    distinct = np.empty((len(first), table.shape[1]), dtype=np.int64, order="F")
+    for column, values in zip(distinct.T, ordered.T):  # column by column: no row-major copy
+        column[:] = values[first]
+    return distinct, counts, np.add.reduceat(weights[order], first), row_of
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _window_hits(rows: np.ndarray, queries: np.ndarray, radius: int):
+    """Yield, a chunk at a time, (query, row) index pairs where a distinct
+    row of one product lies within ``radius`` of a query on every member.
+
+    ``rows`` ascend on member 1, so a query's candidates are the rows whose
+    member 1 lies in its window ``[q1 - radius, q1 + radius]``.  The windows
+    are laid end to end and gathered ``_GATHER_ELEMENTS`` rows at a time, so
+    one query with a large window is split too.  Members 2..l then filter
+    the candidates one member at a time.
+    """
+    low, high = _saturated_bounds(queries, radius)
+    lo = np.searchsorted(rows[:, 0], low[:, 0], side="left")
+    sizes = np.searchsorted(rows[:, 0], high[:, 0], side="right") - lo
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, _GATHER_ELEMENTS):
+        stop = min(start + _GATHER_ELEMENTS, total)
+        # the queries whose windows overlap positions [start, stop)
+        a, b = np.searchsorted(ends, start, side="right"), np.searchsorted(starts, stop)
+        parts = np.minimum(ends[a:b], stop) - np.maximum(starts[a:b], start)
+        query = np.repeat(np.arange(a, b), parts)
+        row = np.arange(start, stop) + np.repeat(lo[a:b] - starts[a:b], parts)
+        for member in range(1, rows.shape[1]):
+            level = rows[row, member]
+            keep = (level >= low[query, member]) & (level <= high[query, member])
+            query, row = query[keep], row[keep]
+        yield query, row
+
+
+def _saturated_bounds(queries: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """``queries - radius`` and ``queries + radius``, saturated at the int64
+    limits.  The box test compares levels with them and never subtracts a
+    query from a level, so nothing wraps."""
+    # Flipping the sign bit maps int64 onto uint64 in order.
     sign = np.uint64(2**63)
-    shifted = queries.astype(np.int64, copy=False).view(np.uint64) ^ sign
+    shifted = queries.view(np.uint64) ^ sign
     r = np.uint64(min(radius, 2**64 - 1))
-    low = ((shifted - np.minimum(shifted, r)) ^ sign).view(np.int64)[:, None, :]
-    high = ((shifted + np.minimum(~shifted, r)) ^ sign).view(np.int64)[:, None, :]
-    return ((levels >= low) & (levels <= high)).all(axis=2)
+    low = ((shifted - np.minimum(shifted, r)) ^ sign).view(np.int64)
+    high = ((shifted + np.minimum(~shifted, r)) ^ sign).view(np.int64)
+    return low, high
 
 
-def _row_bytes(matrix: np.ndarray) -> np.ndarray:
-    """Each row of an int64 matrix as one byte string, equal for equal rows."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.int64)
-    return matrix.view(np.dtype((np.void, matrix.itemsize * matrix.shape[1])))[:, 0]
-
-
-def _product_index(tids: np.ndarray, levels: np.ndarray, lead_sums: np.ndarray) -> tuple:
-    """One product's index entry: its records' TIDs, level rows and lead-time
-    sums in TID order; its distinct level rows, as sorted byte strings and as
-    a matrix, with each one's record count and summed lead time; and each
-    record's distinct row."""
-    keys, first, record_row, counts = np.unique(
-        _row_bytes(levels), return_index=True, return_inverse=True, return_counts=True
-    )
-    sums = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(sums, record_row, lead_sums)
-    return tids, levels, lead_sums, keys, levels[first], counts, sums, record_row
+def _numeric_keys(matrix: np.ndarray) -> np.ndarray:
+    """Each row of an int64 matrix as one byte string.  The bytes are the
+    values with the sign bit flipped, big-endian, so the byte order of two
+    strings is the numeric order of their rows, member by member."""
+    flipped = matrix.astype(">i8", order="C")
+    flipped ^= np.int64(INT64_MIN)
+    return flipped.view(np.dtype((np.void, flipped.itemsize * flipped.shape[1])))[:, 0]
 
 
 def _headers(member_count: int) -> tuple[list[str], list[str], list[str]]:

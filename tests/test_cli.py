@@ -410,14 +410,22 @@ class TestOracleCommand:
 
 
 # sha256 of the seed-0 output files on the bundled fixture (for synth: of its
-# 50-period tables) and of validate's stdout.  A change to the fitness values,
-# the seeded trajectory, the generator or the report, manifest and summary
-# layout shows here, and needs its own stated reason.
+# 50-period tables) and of validate's stdout.  "optimize-synth-2000" runs on
+# `synth --periods 2000 --seed 1` tables instead: their levels spread much
+# wider than the default radius of 100, so each query's member-1 window holds
+# some of a product's rows but not all.  A change to the fitness values, the
+# seeded trajectory, the generator or the report, manifest and summary layout
+# shows here, and needs its own stated reason.
 PINNED_OUTPUTS = {
     "optimize": {
         "report.txt": "fd39e8927212408648712c12f7415b871c1a133acbe07bce9b25711bb1f922d6",
         "report.json": "4baf9ac96f4a5c1b1100d714ffe9f4c1e23e9e5aa0c29e83a92e569f1618e32a",
         "manifest.json": "8727faf5df1cf610190a619a8c433656ca9c55d397b604b833c101677551e8b1",
+    },
+    "optimize-synth-2000": {
+        "report.txt": "66d5f681e6a5ccc87fa7553cee0f85c6ebc3a4acd9638bbc540014afc0957597",
+        "report.json": "8c8324c067582ef76825f423a329f08e5e73a1187ae156740ad33b9b7477c686",
+        "manifest.json": "02a5f044c416efd9037b5b8bacc31bd6e698b70e5186cf17f89e120da23dadce",
     },
     "oracle": {
         "oracle.json": "05cb90721b06229d7106a7172b7f33ed2ea39d9c19ff5986112b5fc996126099",
@@ -437,6 +445,9 @@ PINNED_OUTPUTS = {
 }
 
 
+SYNTH_TABLES = ("stock_history.csv", "stock_lead_times.csv", "raw_material_lead_times.csv")
+
+
 @pytest.mark.parametrize("job", sorted(PINNED_OUTPUTS))
 def test_fixture_output_bytes_pinned(tmp_path, monkeypatch, capsys, job):
     # Relative paths keep validate's stdout free of the checkout's location.
@@ -447,6 +458,10 @@ def test_fixture_output_bytes_pinned(tmp_path, monkeypatch, capsys, job):
         argv += ["--config", "zero.conf"]
     elif job == "synth":
         argv += ["--periods", "50"]
+    elif job == "optimize-synth-2000":
+        assert main(["synth", "--periods", "2000", "--seed", "1", "--out", "gen"]) == 0
+        for flag, name in zip(("--history", "--stock-lead", "--raw-lead"), SYNTH_TABLES):
+            argv += [flag, f"gen/{name}"]
     elif job == "validate":
         for flag, path in zip(("--history", "--stock-lead", "--raw-lead"), ss.fixture_paths()):
             shutil.copy(path, tmp_path)

@@ -129,16 +129,17 @@ class TestAgainstReference:
             assert t_stock.tolist() == [lead for _, lead in want]
             assert [a.tolist() for a in store.match_counts(pid, levels[:0], radius)] == [[], []]
 
-    @pytest.mark.parametrize("comparisons", [1, 10, 40])
+    @pytest.mark.parametrize("elements", [1, 10, 40])
     @given(store=stores, batch=positions)
     @settings(max_examples=40, deadline=None)
-    def test_evaluate_batch_across_box_test_chunks(self, comparisons, store, batch):
-        # The chunk size is comparisons // (distinct rows * members) queries, at
-        # least one, so a tiny budget splits every product's queries.
+    def test_evaluate_batch_across_box_test_chunks(self, elements, store, batch):
+        # A chunk gathers elements // members window rows, at least one, so a
+        # tiny budget splits the queries of a product, and a window of more
+        # rows than that is split inside its query.
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=1))
         want = reference_fitness(store, evaluator, batch, 1)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(history, "_BOX_TEST_COMPARISONS", comparisons)
+            patch.setattr(history, "_GATHER_ELEMENTS", elements)
             assert hexes(evaluator.evaluate_batch(np.array(batch))) == hexes(want)
 
     @given(store=small_stores(), query=queries)
@@ -340,3 +341,107 @@ class TestFarLevels:
             tids = store.product_rows(pid)[0].tolist()
             for query in ([0] * 7, [-(2**63)] * 7, [2**63 - 1] * 7):
                 assert store.match_individual(pid, query, radius).tolist() == tids
+
+
+INT64_EDGES = [-(2**63), -1, 0, 1, 2**63 - 1]
+
+
+class TestNumericKeys:
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.sampled_from(INT64_EDGES) | st.integers(-(2**63), 2**63 - 1), min_size=4, max_size=4
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_key_order_is_lexsort_order(self, rows):
+        matrix = np.array(rows, dtype=np.int64)
+        keys = history._numeric_keys(matrix)
+        # lexsort sorts on its last key first, so the columns go in reversed order
+        want = np.lexsort(matrix.T[::-1])
+        assert np.argsort(keys, kind="stable").tolist() == want.tolist()
+        distinct = np.unique(matrix, axis=0)  # rows in lexicographic order
+        assert np.array_equal(np.unique(keys), history._numeric_keys(distinct))
+
+
+@st.composite
+def window_stores(draw, first, rest=st.integers(-2, 2)):
+    """A 3-member store on products 1 and 2 whose member-1 levels come from
+    ``first``; product 3 has raw rows but no records."""
+    rows = draw(
+        st.lists(st.tuples(st.integers(1, 2), st.tuples(first, rest, rest)), min_size=1, max_size=30)
+    )
+    history = [(tid, pid, lv) for tid, (pid, lv) in enumerate(rows, start=1)]
+    leads = [(tid, (tid % 5, 2)) for tid, _, _ in history]
+    raws = [(pid, 1, 7) for pid in range(1, 4)]
+    return ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, raws)
+
+
+def assert_matches_reference(store, queries, radius):
+    """match_counts and match_individual agree with ``reference_match`` on
+    every product for every query."""
+    levels = np.array(queries, dtype=np.int64).reshape(-1, 3)
+    for pid in range(1, 4):
+        occ, t_stock = store.match_counts(pid, levels, radius)
+        want = [reference_match(store, pid, q, radius) for q in levels.tolist()]
+        assert occ.tolist() == [len(tids) for tids, _ in want]
+        assert t_stock.tolist() == [lead for _, lead in want]
+        for query, (tids, _) in zip(levels.tolist(), want):
+            assert store.match_individual(pid, query, radius).tolist() == tids
+
+
+EDGE_LEVELS = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
+
+
+class TestMemberOneWindow:
+    # Many records share a member-1 value, so a window holds runs of equal
+    # member-1 rows that members 2 and 3 must still tell apart.
+    @pytest.mark.parametrize("radius", [1, 2])
+    @given(
+        store=window_stores(st.sampled_from([0, 0, 0, 1, 5])),
+        batch=st.lists(st.tuples(st.integers(-1, 6), st.integers(-3, 3), st.integers(-3, 3)), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_member_one(self, radius, store, batch):
+        assert_matches_reference(store, batch + store.history[:, 2:].tolist(), radius)
+
+    # Member-1 levels at the int64 limits: the window edges q1 - r and
+    # q1 + r saturate, and at 2**64 every record lies in every window.
+    @pytest.mark.parametrize("radius", [1, 2**64])
+    @given(
+        store=window_stores(EDGE_LEVELS, EDGE_LEVELS),
+        batch=st.lists(st.tuples(EDGE_LEVELS, EDGE_LEVELS, EDGE_LEVELS), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_member_one_at_int64_limits(self, radius, store, batch):
+        assert_matches_reference(store, batch + store.history[:, 2:].tolist(), radius)
+
+    def test_empty_window(self):
+        # member-1 levels 0 and 10: a query at 5 with radius 4 has no row in
+        # its window, while its neighbours in the batch do
+        history = [(1, 1, (0, 0, 0)), (2, 1, (10, 0, 0)), (3, 1, (10, 1, 0))]
+        store = ss.HistoryStore.from_records(
+            SMALL_TOPOLOGY, history, [(t, (t, 1)) for t in (1, 2, 3)], [(1, 1, 3)]
+        )
+        queries = [(0, 0, 0), (5, 0, 0), (10, 0, 0), (-50, 0, 0), (50, 0, 0)]
+        occ, t_stock = store.match_counts(1, np.array(queries), 4)
+        assert (occ.tolist(), t_stock.tolist()) == ([1, 0, 2, 0, 0], [2, 0, 7, 0, 0])
+        assert_matches_reference(store, queries, 4)
+
+    @pytest.mark.parametrize("elements", [1, 2, 3, 7])
+    def test_budget_smaller_than_one_window(self, elements):
+        # Twelve distinct rows share member 1 = 0, so the one query's window
+        # holds all twelve, and a budget below that splits it.
+        records = [(t, 1, (0, t % 4 - 2, t % 3 - 1)) for t in range(1, 13)]
+        store = ss.HistoryStore.from_records(
+            SMALL_TOPOLOGY, records, [(t, (t, 2 * t)) for t in range(1, 13)], [(1, 1, 3)]
+        )
+        query = np.array([[0, 0, 0]], dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(history, "_GATHER_ELEMENTS", elements)
+            chunks = list(history._window_hits(store._by_product[1].rows, query, 1))
+            assert len(chunks) == -(-12 // elements)
+            assert_matches_reference(store, query.tolist() + [[0, -2, -1], [0, 5, 5]], 1)
