@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -43,7 +44,7 @@ __all__ = [
 
 # Window rows gathered at once by the box test at radius > 0; each of its
 # flat index arrays holds at most this many elements.
-_GATHER_ELEMENTS = 2**18
+_GATHER_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,19 @@ class HistoryStore:
                 raise MissingLeadTimeRow(f"history TID {tid} has no stock-lead-time row")
             raise MissingRawMaterial(f"product {pid} appears in history but has no raw-material rows")
 
-        self._history, self._lead, self._raw = (_frozen(a) for a in (history, lead, raw))
+        self._history, self._lead, self._raw = history, lead, raw
         self._raw_total = dict(zip(raw_pids.tolist(), raw_totals.tolist()))
         row_lead_sums = lead_sums[np.searchsorted(lead[:, 0], tids)]
-        self._by_product = _product_index(history, row_lead_sums)
-        # the entry of a product without records: every array empty, shapes kept
-        self._no_records = _Entry(*(a[:0] for a in next(iter(self._by_product.values()))))
+        keys = _numeric_keys(history[:, 2:])
+        by_product = np.argsort(pids, kind="stable")
+        products, starts = np.unique(pids[by_product], return_index=True)
+        self._by_product = {
+            pid: _product_index(tids[rows], history[rows, 2:], keys[rows], row_lead_sums[rows])
+            for pid, rows in zip(products.tolist(), np.split(by_product, starts[1:]))
+        }
+        for array in chain((history, lead, raw), *self._by_product.values()):
+            array.flags.writeable = False
+        self._no_records = _product_index(history[:0, 0], history[:0, 2:], keys[:0], lead_sums[:0])
 
     @classmethod
     def from_records(
@@ -276,58 +284,18 @@ class _Entry(NamedTuple):
     record_row: np.ndarray
 
 
-def _product_index(history: np.ndarray, lead_sums: np.ndarray) -> dict[int, _Entry]:
-    """Every product's index entry, from one sort of the ``(PI, F1..Fl)``
-    rows of a TID-sorted history matrix: the distinct rows of one product
-    form one contiguous block of the sorted rows."""
-    table, counts, sums, row_of = _distinct_rows(history[:, 1:], lead_sums)
-    row_pids, rows = table[:, 0], table[:, 1:]
-    block = np.flatnonzero(np.diff(row_pids, prepend=0))  # each product's first row, as PI >= 1
-    block_end = np.append(block[1:], len(rows))
-    row_of -= np.repeat(block, block_end - block)[row_of]  # counted from its product's first row
-    by_product = np.argsort(history[:, 1], kind="stable")  # TIDs ascend within a product
-    record_count = np.add.reduceat(counts, block)
-    record_end = np.cumsum(record_count)
-    records = (history[by_product, 0], history[by_product, 2:], lead_sums[by_product])
-    distinct = (_numeric_keys(rows), rows, counts, sums)
-    records, distinct = [_frozen(a) for a in records], [_frozen(a) for a in distinct]
-    record_row = _frozen(row_of[by_product])
-    return {
-        pid: _Entry(
-            *(a[r0:r1] for a in records), *(a[k0:k1] for a in distinct), record_row[r0:r1]
-        )
-        for pid, r0, r1, k0, k1 in zip(
-            row_pids[block].tolist(),
-            (record_end - record_count).tolist(),
-            record_end.tolist(),
-            block.tolist(),
-            block_end.tolist(),
-        )
-    }
-
-
-def _distinct_rows(
-    table: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of an int64 matrix in numeric order, column-major
-    so that each column is contiguous; each one's count and summed weight;
-    and each input row's distinct row."""
-    order = np.argsort(_numeric_keys(table))
-    ordered = table[order]
-    new = np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1))
-    first = np.flatnonzero(new)
-    row_of = np.empty(len(order), dtype=np.intp)
-    row_of[order] = np.cumsum(new) - 1
-    counts = np.diff(first, append=len(order))
-    distinct = np.empty((len(first), table.shape[1]), dtype=np.int64, order="F")
-    for column, values in zip(distinct.T, ordered.T):  # column by column: no row-major copy
-        column[:] = values[first]
-    return distinct, counts, np.add.reduceat(weights[order], first), row_of
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def _product_index(
+    tids: np.ndarray, levels: np.ndarray, keys: np.ndarray, lead_sums: np.ndarray
+) -> _Entry:
+    """One product's index entry from its records in TID order, with the
+    ``_numeric_keys`` of their level rows."""
+    keys, first, record_row, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, record_row, lead_sums)
+    rows = np.asfortranarray(levels[first])  # each member column contiguous
+    return _Entry(tids, levels, lead_sums, keys, rows, counts, sums, record_row)
 
 
 def _window_hits(rows: np.ndarray, queries: np.ndarray, radius: int):
@@ -337,8 +305,8 @@ def _window_hits(rows: np.ndarray, queries: np.ndarray, radius: int):
     ``rows`` ascend on member 1, so a query's candidates are the rows whose
     member 1 lies in its window ``[q1 - radius, q1 + radius]``.  The windows
     are laid end to end and gathered ``_GATHER_ELEMENTS`` rows at a time, so
-    one query with a large window is split too.  Members 2..l then filter
-    the candidates one member at a time.
+    one query with a large window is split too.  Each candidate is compared
+    on members 2..l with its query's bounds, repeated along the window.
     """
     low, high = _saturated_bounds(queries, radius)
     lo = np.searchsorted(rows[:, 0], low[:, 0], side="left")
@@ -351,13 +319,13 @@ def _window_hits(rows: np.ndarray, queries: np.ndarray, radius: int):
         # the queries whose windows overlap positions [start, stop)
         a, b = np.searchsorted(ends, start, side="right"), np.searchsorted(starts, stop)
         parts = np.minimum(ends[a:b], stop) - np.maximum(starts[a:b], start)
-        query = np.repeat(np.arange(a, b), parts)
         row = np.arange(start, stop) + np.repeat(lo[a:b] - starts[a:b], parts)
+        keep = np.ones(len(row), dtype=bool)
         for member in range(1, rows.shape[1]):
-            level = rows[row, member]
-            keep = (level >= low[query, member]) & (level <= high[query, member])
-            query, row = query[keep], row[keep]
-        yield query, row
+            level = rows[:, member].take(row)
+            keep &= level >= np.repeat(low[a:b, member], parts)
+            keep &= level <= np.repeat(high[a:b, member], parts)
+        yield np.repeat(np.arange(a, b), parts)[keep], row[keep]
 
 
 def _saturated_bounds(queries: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:

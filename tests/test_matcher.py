@@ -58,6 +58,11 @@ def hexes(values):
 SMALL_TOPOLOGY = ss.Topology(dc_count=1, agents_per_dc=(1,))
 # Levels span [-3, 3], so radius 6 covers the whole stock range.
 RADII = [0, 1, 6]
+# Edge stores hold levels at and next to the int64 limits, where the window
+# bounds saturate; radius 2**64 covers their whole range.  The matcher takes
+# it, while PsoConfig's int64 guard refuses it.
+MATCH_RADII = RADII + [2**64]
+EDGE_LEVELS = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
 
 
 @st.composite
@@ -77,8 +82,11 @@ def small_stores(draw, level=st.integers(min_value=-3, max_value=3)):
 
 # Dense stores draw each level from {-1, 1}: a product has 8 possible level
 # rows, so its records often repeat one, and a match counts and sums every
-# record of a repeated row.
-stores = st.one_of(small_stores(), small_stores(st.sampled_from([-1, 1])))
+# record of a repeated row.  Many of them share member 1, so a member-1
+# window holds rows that members 2 and 3 must still tell apart.
+stores = st.one_of(
+    small_stores(), small_stores(st.sampled_from([-1, 1])), small_stores(EDGE_LEVELS)
+)
 
 positions = st.lists(
     st.tuples(
@@ -105,7 +113,7 @@ class TestAgainstReference:
         assert hexes(got) == hexes(want)
         assert hexes(evaluator.evaluate(p) for p in batch) == hexes(want)
 
-    @pytest.mark.parametrize("radius", RADII)
+    @pytest.mark.parametrize("radius", MATCH_RADII)
     @given(store=stores, query=queries)
     @settings(max_examples=60, deadline=None)
     def test_match_individual_tids(self, radius, store, query):
@@ -113,7 +121,7 @@ class TestAgainstReference:
         tids, _ = reference_match(store, query[0], query[1:], radius)
         assert got.tolist() == tids
 
-    @pytest.mark.parametrize("radius", RADII)
+    @pytest.mark.parametrize("radius", MATCH_RADII)
     @given(store=stores, batch=st.lists(queries, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_match_counts(self, radius, store, batch):
@@ -133,9 +141,8 @@ class TestAgainstReference:
     @given(store=stores, batch=positions)
     @settings(max_examples=40, deadline=None)
     def test_evaluate_batch_across_box_test_chunks(self, elements, store, batch):
-        # A chunk gathers elements // members window rows, at least one, so a
-        # tiny budget splits the queries of a product, and a window of more
-        # rows than that is split inside its query.
+        # Each chunk gathers ``elements`` window rows, so a budget of 1 splits
+        # every window of two or more rows inside its query.
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=1))
         want = reference_fitness(store, evaluator, batch, 1)
         with pytest.MonkeyPatch.context() as patch:
@@ -366,82 +373,3 @@ class TestNumericKeys:
         distinct = np.unique(matrix, axis=0)  # rows in lexicographic order
         assert np.array_equal(np.unique(keys), history._numeric_keys(distinct))
 
-
-@st.composite
-def window_stores(draw, first, rest=st.integers(-2, 2)):
-    """A 3-member store on products 1 and 2 whose member-1 levels come from
-    ``first``; product 3 has raw rows but no records."""
-    rows = draw(
-        st.lists(st.tuples(st.integers(1, 2), st.tuples(first, rest, rest)), min_size=1, max_size=30)
-    )
-    history = [(tid, pid, lv) for tid, (pid, lv) in enumerate(rows, start=1)]
-    leads = [(tid, (tid % 5, 2)) for tid, _, _ in history]
-    raws = [(pid, 1, 7) for pid in range(1, 4)]
-    return ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, raws)
-
-
-def assert_matches_reference(store, queries, radius):
-    """match_counts and match_individual agree with ``reference_match`` on
-    every product for every query."""
-    levels = np.array(queries, dtype=np.int64).reshape(-1, 3)
-    for pid in range(1, 4):
-        occ, t_stock = store.match_counts(pid, levels, radius)
-        want = [reference_match(store, pid, q, radius) for q in levels.tolist()]
-        assert occ.tolist() == [len(tids) for tids, _ in want]
-        assert t_stock.tolist() == [lead for _, lead in want]
-        for query, (tids, _) in zip(levels.tolist(), want):
-            assert store.match_individual(pid, query, radius).tolist() == tids
-
-
-EDGE_LEVELS = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
-
-
-class TestMemberOneWindow:
-    # Many records share a member-1 value, so a window holds runs of equal
-    # member-1 rows that members 2 and 3 must still tell apart.
-    @pytest.mark.parametrize("radius", [1, 2])
-    @given(
-        store=window_stores(st.sampled_from([0, 0, 0, 1, 5])),
-        batch=st.lists(st.tuples(st.integers(-1, 6), st.integers(-3, 3), st.integers(-3, 3)), max_size=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_shared_member_one(self, radius, store, batch):
-        assert_matches_reference(store, batch + store.history[:, 2:].tolist(), radius)
-
-    # Member-1 levels at the int64 limits: the window edges q1 - r and
-    # q1 + r saturate, and at 2**64 every record lies in every window.
-    @pytest.mark.parametrize("radius", [1, 2**64])
-    @given(
-        store=window_stores(EDGE_LEVELS, EDGE_LEVELS),
-        batch=st.lists(st.tuples(EDGE_LEVELS, EDGE_LEVELS, EDGE_LEVELS), max_size=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_member_one_at_int64_limits(self, radius, store, batch):
-        assert_matches_reference(store, batch + store.history[:, 2:].tolist(), radius)
-
-    def test_empty_window(self):
-        # member-1 levels 0 and 10: a query at 5 with radius 4 has no row in
-        # its window, while its neighbours in the batch do
-        history = [(1, 1, (0, 0, 0)), (2, 1, (10, 0, 0)), (3, 1, (10, 1, 0))]
-        store = ss.HistoryStore.from_records(
-            SMALL_TOPOLOGY, history, [(t, (t, 1)) for t in (1, 2, 3)], [(1, 1, 3)]
-        )
-        queries = [(0, 0, 0), (5, 0, 0), (10, 0, 0), (-50, 0, 0), (50, 0, 0)]
-        occ, t_stock = store.match_counts(1, np.array(queries), 4)
-        assert (occ.tolist(), t_stock.tolist()) == ([1, 0, 2, 0, 0], [2, 0, 7, 0, 0])
-        assert_matches_reference(store, queries, 4)
-
-    @pytest.mark.parametrize("elements", [1, 2, 3, 7])
-    def test_budget_smaller_than_one_window(self, elements):
-        # Twelve distinct rows share member 1 = 0, so the one query's window
-        # holds all twelve, and a budget below that splits it.
-        records = [(t, 1, (0, t % 4 - 2, t % 3 - 1)) for t in range(1, 13)]
-        store = ss.HistoryStore.from_records(
-            SMALL_TOPOLOGY, records, [(t, (t, 2 * t)) for t in range(1, 13)], [(1, 1, 3)]
-        )
-        query = np.array([[0, 0, 0]], dtype=np.int64)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(history, "_GATHER_ELEMENTS", elements)
-            chunks = list(history._window_hits(store._by_product[1].rows, query, 1))
-            assert len(chunks) == -(-12 // elements)
-            assert_matches_reference(store, query.tolist() + [[0, -2, -1], [0, 5, 5]], 1)
