@@ -16,6 +16,7 @@ so it can be shared freely across threads.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -96,14 +97,12 @@ class HistoryStore:
         lead, repeat = _table(lead, lead_columns, 1, "stock-lead-time", [1] + [0] * (l - 1))
         if repeat:
             raise DuplicateTid(f"lead-time TID {repeat[0]} appears more than once")
-        lead_sums = lead[:, 1:].astype(object).sum(axis=1)  # Python ints, so exact
-        lead_sums = _int64_sums(lead_sums, lead[:, 0], "lead-time TID {} link times")
+        lead_sums = _int64_sums(lead[:, 1:], lead[:, 0], "lead-time TID {} link times")
         raw, repeat = _table(raw, raw_columns, 2, "raw-material", [1, 1, 0])
         if repeat:
             raise ParseError(f"raw-material row (PI={repeat[0]}, RM={repeat[1]}) duplicated")
         raw_pids, starts = np.unique(raw[:, 0], return_index=True)
-        raw_totals = np.add.reduceat(raw[:, 2].astype(object), starts)
-        raw_totals = _int64_sums(raw_totals, raw_pids, "raw-material times of product {}")
+        raw_totals = _int64_sums(raw[:, 2:], raw_pids, "raw-material times of product {}", starts)
 
         tids, pids = history[:, 0], history[:, 1]
         missing = np.flatnonzero(~(np.isin(tids, lead[:, 0]) & np.isin(pids, raw_pids)))
@@ -401,19 +400,34 @@ def _int64_array(values, error: type[Exception], what: str) -> np.ndarray:
     return array
 
 
-def _int64_sums(sums: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
-    """Exact non-negative sums (Python ints) as int64; one past int64 raises
-    ParseError."""
-    past = np.flatnonzero(sums > INT64_MAX)
+def _int64_sums(
+    terms: np.ndarray, keys: np.ndarray, what: str, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact int64 sums of the non-negative int64 ``terms``: of each row, or
+    with ``starts`` of each block of rows from one start to the next.  A sum
+    past int64 raises ParseError naming its key.  The 32-bit halves of the
+    terms are summed apart in uint64, so no sum wraps."""
+    high = low = np.zeros(len(terms), dtype=np.uint64)
+    for column in terms.T:
+        column = column.astype(np.uint64)
+        high, low = high + (column >> 32), low + (column & 0xFFFFFFFF)
+    if starts is not None:
+        high, low = np.add.reduceat(high, starts), np.add.reduceat(low, starts)
+    high, low = high + (low >> 32), low & 0xFFFFFFFF
+    past = np.flatnonzero(high >> 31)
     if past.size:
         first = past[0]
-        raise ParseError(f"{what.format(keys[first])} sum to {sums[first]}, past the int64 range")
-    return sums.astype(np.int64)
+        exact = (int(high[first]) << 32) + int(low[first])
+        raise ParseError(f"{what.format(keys[first])} sum to {exact}, past the int64 range")
+    return (high << 32 | low).astype(np.int64)
 
 
 def _read_table(path: str | Path, expected_header: list[str], label: str) -> np.ndarray:
     """Read a strict CSV table of integers into an int64 matrix.
 
+    The data lines are parsed in one ``np.loadtxt`` call; input it rejects
+    is parsed again by :func:`_parse_lines`, which accepts what ``int()``
+    accepts (``1_000``, full-width digits) and names the line of an error.
     Width disagreements raise DimensionMismatch (they usually mean the
     configured chain size is wrong); anything else malformed raises
     ParseError.
@@ -436,6 +450,22 @@ def _read_table(path: str | Path, expected_header: list[str], label: str) -> np.
         raise ParseError(
             f"{label} header is {','.join(header)!r}, expected {','.join(expected_header)!r}"
         )
+    if len(lines) == 1:
+        raise ParseError(f"{label} file {path} has a header but no records")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # older numpy parses "5.0" as 5, with a warning
+            matrix = np.loadtxt(lines[1:], np.int64, comments=None, delimiter=",", ndmin=2)
+        if matrix.shape[1] == len(expected_header):
+            return matrix
+    except (ValueError, Warning):
+        pass
+    return _parse_lines(lines, expected_header, label)
+
+
+def _parse_lines(lines: list[str], expected_header: list[str], label: str) -> np.ndarray:
+    """The data lines after the header ``lines[0]``, parsed cell by cell with
+    ``int()``; the first bad line raises an error that names it."""
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = [cell.strip() for cell in line.split(",")]
@@ -444,8 +474,6 @@ def _read_table(path: str | Path, expected_header: list[str], label: str) -> np.
                 f"{label} line {lineno} has {len(cells)} columns, expected {len(expected_header)}"
             )
         rows.append([_parse_int(cell, label, lineno) for cell in cells])
-    if not rows:
-        raise ParseError(f"{label} file {path} has a header but no records")
     return np.array(rows, dtype=np.int64)
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import stockswarm as ss
 from stockswarm.errors import (
@@ -17,6 +17,7 @@ from stockswarm.errors import (
     MissingRawMaterial,
     ParseError,
 )
+from stockswarm.history import _headers, _parse_lines, _read_table
 
 
 def brute_force_match(history_rows, product_id, levels, radius):
@@ -592,3 +593,128 @@ class TestOneConstructor:
         assert outcome(lambda: ss.load_store(*paths, topology)) == (
             ParseError, f"history line 3: value {cell} outside the int64 range"
         )
+
+
+# Pieces of the differential test of the two CSV parse paths.  Every
+# padding character is one that str.strip() removes; every line break one
+# that str.splitlines() splits on.
+PADDING = " \t\xa0\u3000\x1f"
+LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r\n"
+SCRIPTS = [str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"),
+           str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")]
+LIMITS = [-(2**63), -(2**63) + 1, INT64_MAX - 1, INT64_MAX]
+# One defect a wild table carries: a character put into a cell, a cell
+# replaced, or a cell dropped from its row.
+DEFECTS = (
+    [("insert", c) for c in ["_", ".", "e", "x", "#", "'", '"', "\x00", "+", "-", ",", "\r\n", *LINE_BREAKS]]
+    + [("replace", c) for c in ["", str(2**63), str(-(2**63) - 1)]]
+    + [("drop", None)]
+)
+
+
+@st.composite
+def csv_cells(draw, odd):
+    """One cell: a signed int64 integer, often at the int64 limits, with
+    leading zeros and padding.  An odd cell may be written in full-width or
+    Arabic-Indic digits or with ``_`` between digits, which ``int()``
+    accepts and loadtxt does not."""
+    value = draw(st.one_of(st.integers(-20, 20), st.sampled_from(LIMITS), st.integers(-(2**63), INT64_MAX)))
+    digits = "0" * draw(st.integers(0, 2)) + str(abs(value))
+    if odd and len(digits) > 1 and draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:at] + "_" + digits[at:]
+    if odd and draw(st.integers(0, 3)) == 0:
+        digits = digits.translate(draw(st.sampled_from(SCRIPTS)))
+    padding = st.text(st.sampled_from(PADDING), max_size=2)
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    return draw(padding) + sign + digits + draw(padding)
+
+
+@st.composite
+def csv_texts(draw):
+    """A raw-material table: its header, then rows of three cells, each
+    after a line end: LF, CRLF or blank lines, and in an odd or wild table
+    also the other line breaks.  A wild table has one defect."""
+    mode = draw(st.sampled_from(["plain", "odd", "wild"]))
+    cells = csv_cells(mode != "plain")
+    rows = draw(st.lists(st.lists(cells, min_size=3, max_size=3), min_size=1, max_size=4))
+    if mode == "wild":
+        row, at = draw(st.sampled_from(rows)), draw(st.integers(0, 2))
+        cut = draw(st.integers(0, len(row[at])))
+        kind, piece = draw(st.sampled_from(DEFECTS))
+        if kind == "insert":
+            row[at] = row[at][:cut] + piece + row[at][cut:]
+        elif kind == "replace":
+            row[at] = piece
+        else:
+            del row[at]
+    ends = ["\n", "\r\n", "\n\n", "\r\n \r\n"] + (list(LINE_BREAKS) if mode != "plain" else [])
+    text = "PI,RM,T"
+    for row in rows:
+        text += draw(st.sampled_from(ends)) + ",".join(row)
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def parsed(parse):
+    """The rows of the int64 matrix ``parse`` returns, or the type and
+    message of its error."""
+    try:
+        matrix = parse()
+    except (ParseError, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+    assert matrix.dtype == np.int64
+    return matrix.tolist()
+
+
+class TestParsePaths:
+    """One np.loadtxt call per table, and the per-line parse it falls back to."""
+
+    @given(text=csv_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_one_call_agrees_with_per_line_parse(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "parse-paths.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        lines = [line for line in (line.strip() for line in text.splitlines()) if line]
+        assume(len(lines) > 1)
+        try:  # loadtxt rejects input only with ValueError
+            np.loadtxt(lines[1:], np.int64, comments=None, delimiter=",", ndmin=2)
+            loadtxt = "loadtxt accepts"
+        except ValueError:
+            loadtxt = "loadtxt rejects"
+        header = ["PI", "RM", "T"]
+        one_call = parsed(lambda: _read_table(path, header, "raw-material"))
+        assert one_call == parsed(lambda: _parse_lines(lines, header, "raw-material"))
+        event(f"{loadtxt}, both {'reject' if isinstance(one_call, tuple) else 'accept'}")
+
+    def test_fallback_loads_what_int_accepts(self, tmp_path, tiny_rows):
+        # loadtxt rejects "1_000" and "\uff15"; the form feed ends a record
+        topology, *rows = tiny_rows
+        paths = write_tables(tmp_path, topology, *rows)
+        paths[0].write_text(
+            "TID,PI,F1,F2,F3\n1,1,1_000,-20,30\x0c2,2,\uff15,0,0\n3,1,10,-20,31\n", encoding="utf-8"
+        )
+        store = ss.load_store(*paths, topology)
+        assert [(r.tid, r.product_id, r.levels) for r in store.records] == [
+            (1, 1, (1000, -20, 30)), (2, 2, (5, 0, 0)), (3, 1, (10, -20, 31))
+        ]
+
+    @pytest.mark.parametrize("cell", ["5.0", "1e3", "0x10", "", "5#", '"5"'])
+    def test_non_integer_cell_names_its_line(self, tmp_path, tiny_rows, cell):
+        # the last cell of its line, so neither a comment nor a quote may hide it
+        topology, *rows = tiny_rows
+        paths = write_tables(tmp_path, topology, *rows)
+        lines = paths[0].read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+        paths[0].write_text("\n".join(lines) + "\n")
+        assert outcome(lambda: ss.load_store(*paths, topology)) == (
+            ParseError, f"history line 3: {cell!r} is not an integer"
+        )
+
+    def test_fixture_and_synth_tables_equal_on_both_paths(self, paths, topology, tmp_path):
+        synth = ss.write_fixtures(ss.SynthConfig(periods=300), seed=3, out_dir=tmp_path)
+        for files in (paths, tuple(synth.values())):
+            for path, header in zip(files, _headers(topology.member_count)):
+                lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+                assert parsed(lambda: _read_table(path, header, "t")) == parsed(
+                    lambda: _parse_lines([line for line in lines if line], header, "t")
+                )
