@@ -179,8 +179,8 @@ class OptimizationResult:
 class FitnessEvaluator:
     """Precomputed, reusable fitness function over one store and config.
 
-    Matches through the store's per-product index, so a whole swarm
-    evaluates as a few numpy reductions per product.
+    Matches a whole swarm with one store query over the flat index, so a
+    batch evaluates as a few numpy searches and one chunked box test.
     Pure: no internal state changes after construction, so repeated calls
     on equal positions are bit-identical.
     """
@@ -212,10 +212,7 @@ class FitnessEvaluator:
         matched records.  A non-positive log argument raises for the first
         position that has one.
         """
-        keys, inverse = np.unique(pids, return_inverse=True)
-        t_raw = np.array(
-            [self._store.raw_lead_time_total(k) for k in keys.tolist()], dtype=np.int64
-        )[inverse]
+        t_raw = self._store.raw_lead_time_totals(pids)
         w = self._weights
         argument = w.w2 * t_stock + w.w3 * t_raw
         bad = np.flatnonzero(argument <= 0.0)
@@ -238,12 +235,7 @@ class FitnessEvaluator:
                 f"positions have shape {rounded.shape}, expected (n, {self._dim})"
             )
         pids = rounded[:, 0]
-        levels = rounded[:, 1:]
-        occ = np.zeros(len(rounded), dtype=np.int64)
-        t_stock = np.zeros(len(rounded), dtype=np.int64)
-        for pid in np.unique(pids):
-            mask = pids == pid
-            occ[mask], t_stock[mask] = self._store.match_counts(pid, levels[mask], self._radius)
+        occ, t_stock = self._store.match_counts(pids, rounded[:, 1:], self._radius)
         return self.score(pids, occ, t_stock)
 
 

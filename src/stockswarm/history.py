@@ -19,9 +19,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -113,18 +112,53 @@ class HistoryStore:
             raise MissingRawMaterial(f"product {pid} appears in history but has no raw-material rows")
 
         self._history, self._lead, self._raw = history, lead, raw
-        self._raw_total = dict(zip(raw_pids.tolist(), raw_totals.tolist()))
-        row_lead_sums = lead_sums[np.searchsorted(lead[:, 0], tids)]
-        keys = _numeric_keys(history[:, 2:])
-        by_product = np.argsort(pids, kind="stable")
-        products, starts = np.unique(pids[by_product], return_index=True)
-        self._by_product = {
-            pid: _product_index(tids[rows], history[rows, 2:], keys[rows], row_lead_sums[rows])
-            for pid, rows in zip(products.tolist(), np.split(by_product, starts[1:]))
-        }
-        for array in chain((history, lead, raw), *self._by_product.values()):
-            array.flags.writeable = False
-        self._no_records = _product_index(history[:0, 0], history[:0, 2:], keys[:0], lead_sums[:0])
+        self._raw_pids, self._raw_totals = raw_pids, raw_totals
+        self._build_index(history, lead_sums[np.searchsorted(lead[:, 0], tids)])
+
+    def _build_index(self, history: np.ndarray, lead_sums: np.ndarray) -> None:
+        """The flat index: every product's distinct level rows end to end.
+
+        Records are grouped by product in TID order, with per-record
+        lead-time sums, and ``_record_starts`` opens each product's group.
+        Each group is sorted on its own by ``(PI, F1..Fl)`` numeric keys, so
+        the blocks of distinct rows follow each other in key order and
+        member 1 ascends inside a block.  Each distinct row has its key, a
+        record count and a summed lead time; each record knows its row.
+        ``_window_keys`` number each row by its block and by its place in a
+        stable sort of all rows on member 1, ``_member1``.  That place lies
+        between the counts of rows below and up to its member 1, so two
+        int64 searches find the member-1 window of a query on any product.
+        """
+        n = len(history)
+        by_product = np.argsort(history[:, 1], kind="stable")
+        grouped = history.take(by_product, axis=0)
+        self._products, record_starts = np.unique(grouped[:, 1], return_index=True)
+        self._record_starts = np.append(record_starts, n)
+        self._tids, self._levels = grouped[:, 0], grouped[:, 2:]
+        self._lead_sums = lead_sums.take(by_product)
+        keys = _numeric_keys(grouped[:, 1:])
+        bounds = zip(record_starts, self._record_starts[1:])
+        order = np.concatenate([a + np.argsort(keys[a:b], kind="stable") for a, b in bounds])
+        ordered = grouped.take(order, axis=0)[:, 1:]  # PI, F1..Fl in key order
+        opens = np.ones(n, dtype=bool)  # where a new distinct row starts
+        opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        first = np.flatnonzero(opens)
+        self._record_row = np.empty(n, dtype=np.int64)
+        self._record_row[order] = np.cumsum(opens) - 1
+        self._row_starts = np.searchsorted(first, self._record_starts)
+        self._keys = keys.take(order[first])
+        self._counts = np.diff(np.append(first, n))
+        self._sums = np.add.reduceat(self._lead_sums.take(order), first)
+        self._rows = np.asfortranarray(ordered.take(first, axis=0)[:, 1:])  # columns contiguous
+        by_member1 = np.argsort(self._rows[:, 0], kind="stable")
+        self._member1 = self._rows[by_member1, 0]
+        self._block_stride = len(first) + 1
+        self._window_keys = np.repeat(np.arange(len(record_starts)), np.diff(self._row_starts))
+        self._window_keys *= self._block_stride
+        self._window_keys[by_member1] += np.arange(len(first))
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
     @classmethod
     def from_records(
@@ -188,7 +222,15 @@ class HistoryStore:
     @property
     def products(self) -> tuple[int, ...]:
         """Product ids that occur in the history, ascending."""
-        return tuple(self._by_product)
+        return tuple(self._products.tolist())
+
+    def _spans(self, product_id: int) -> tuple[slice, slice] | None:
+        """A product's records and its block of distinct rows, or None when
+        it has no records."""
+        at = int(np.searchsorted(self._products, product_id))
+        if at == len(self._products) or self._products[at] != product_id:
+            return None
+        return slice(*self._record_starts[at : at + 2]), slice(*self._row_starts[at : at + 2])
 
     def product_rows(
         self, product_id: int
@@ -196,42 +238,42 @@ class HistoryStore:
         """Read-only TIDs, (rows, members) level matrix and per-row lead-time
         sums of one product's records in ascending TID order, or None when it
         has no records."""
-        entry = self._by_product.get(int(product_id))
-        return None if entry is None else entry[:3]
+        spans = self._spans(product_id)
+        if spans is None:
+            return None
+        return self._tids[spans[0]], self._levels[spans[0]], self._lead_sums[spans[0]]
 
-    def _entry(self, product_id: int, queries: np.ndarray, radius: int) -> _Entry:
-        """The product's index entry (empty without records), once ``radius``
-        and the (n, members) shape of ``queries`` are checked."""
-        if _integer(radius, "matching radius") < 0:
-            raise ConfigError(f"matching radius must be non-negative, got {radius}")
-        members = self._topology.member_count
-        if queries.ndim != 2 or queries.shape[1] != members:
-            raise DimensionMismatch(f"queries have shape {queries.shape}, expected (n, {members})")
-        return self._by_product.get(int(product_id), self._no_records)
+    def distinct_rows(self, product_id: int) -> np.ndarray:
+        """Read-only (rows, members) matrix of one product's distinct level
+        rows in lexicographic order; no rows when it has no records."""
+        spans = self._spans(product_id)
+        return self._rows[:0] if spans is None else self._rows[spans[1]]
 
     def match_counts(
-        self, product_id: int, queries: np.ndarray, radius: int
+        self, product_ids, queries: np.ndarray, radius: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """P(occ) and t_stock, the summed lead time of the matched records,
-        for each row of an (n, members) matrix of level queries on one product.
+        for each row of an (n, members) matrix of level queries.
 
-        A level that is not an int64 integer raises ConfigError.  Radius 0
-        looks each row up among the product's distinct level rows; a larger
-        radius box-tests the distinct rows inside each query's member-1
-        window, a bounded number of rows at a time.
+        ``product_ids`` holds one product id per query row, or one id for
+        them all.  A level or id that is not an int64 integer raises
+        ConfigError.  Radius 0 looks each ``(PI, F1..Fl)`` row up among the
+        index's distinct keys; a larger radius box-tests the distinct rows
+        inside each query's member-1 window, a bounded number at a time.
         """
         queries = _int64_array(queries, ConfigError, "query")
-        entry = self._entry(product_id, queries, radius)
-        keys, counts, sums = entry.keys, entry.counts, entry.sums
-        if radius == 0 and len(keys):  # a product without records has no rows to look up
-            wanted = _numeric_keys(queries)
-            at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-            found = keys[at] == wanted
-            return np.where(found, counts[at], 0), np.where(found, sums[at], 0)
+        pids = self._checked(product_ids, queries, radius)
+        if radius == 0:
+            wanted = _numeric_keys(np.column_stack((pids, queries)))
+            at = np.minimum(np.searchsorted(self._keys, wanted), len(self._keys) - 1)
+            found = self._keys[at] == wanted
+            return np.where(found, self._counts[at], 0), np.where(found, self._sums[at], 0)
         occ, t_stock = np.zeros((2, len(queries)), dtype=np.int64)
-        for query, row in _window_hits(entry.rows, queries, radius):
-            np.add.at(occ, query, counts[row])
-            np.add.at(t_stock, query, sums[row])
+        for query, row in self._window_hits(pids, queries, radius):
+            if len(row):  # queries ascend, so each query's pairs are one run
+                first = np.append(0, np.flatnonzero(query[1:] != query[:-1]) + 1)
+                occ[query[first]] += np.add.reduceat(self._counts[row], first)
+                t_stock[query[first]] += np.add.reduceat(self._sums[row], first)
         return occ, t_stock
 
     def match_individual(
@@ -242,89 +284,111 @@ class HistoryStore:
         dimension.
 
         ``radius == 0`` is exact integer equality per dimension.  An empty
-        result is valid and common.  A level that is not an int64 integer
-        raises ConfigError.
+        result is valid and common.  A level or product id that is not an
+        int64 integer raises ConfigError.
         """
         query = _int64_array(levels, ConfigError, "query")
         if query.shape != (self._topology.member_count,):
             raise DimensionMismatch(
                 f"query has {query.size} stock entries, expected {self._topology.member_count}"
             )
-        entry = self._entry(product_id, query[None, :], radius)
-        hit = np.zeros(len(entry.rows), dtype=bool)
-        for _, row in _window_hits(entry.rows, query[None, :], radius):
+        pids = self._checked(product_id, query[None, :], radius)
+        spans = self._spans(pids[0])
+        if spans is None:
+            return self._tids[:0].copy()
+        hit = np.zeros(len(self._rows), dtype=bool)
+        for _, row in self._window_hits(pids, query[None, :], radius):
             hit[row] = True
-        return entry.tids[hit[entry.record_row]]
+        return self._tids[spans[0]][hit[self._record_row[spans[0]]]]
 
     def raw_lead_time_total(self, product_id: int) -> int:
         """Sum of raw-material supply days for one product."""
-        try:
-            return self._raw_total[int(product_id)]
-        except KeyError:
+        product_ids = _int64_array([product_id], ConfigError, "product id")
+        return int(self.raw_lead_time_totals(product_ids)[0])
+
+    def raw_lead_time_totals(self, product_ids: np.ndarray) -> np.ndarray:
+        """Sums of raw-material supply days for an int64 array of product
+        ids.  The lowest id without raw-material rows raises
+        MissingRawMaterial."""
+        product_ids = np.asarray(product_ids)
+        at = np.minimum(np.searchsorted(self._raw_pids, product_ids), len(self._raw_pids) - 1)
+        missing = self._raw_pids[at] != product_ids
+        if missing.any():
             raise MissingRawMaterial(
-                f"product {product_id} has no raw-material rows"
-            ) from None
+                f"product {product_ids[missing].min()} has no raw-material rows"
+            )
+        return self._raw_totals[at]
 
+    def _checked(self, product_ids, queries: np.ndarray, radius: int) -> np.ndarray:
+        """One int64 product id per row of ``queries``, once ``radius``, the
+        ids and the (n, members) shape of ``queries`` are checked."""
+        if _integer(radius, "matching radius") < 0:
+            raise ConfigError(f"matching radius must be non-negative, got {radius}")
+        members = self._topology.member_count
+        if queries.ndim != 2 or queries.shape[1] != members:
+            raise DimensionMismatch(f"queries have shape {queries.shape}, expected (n, {members})")
+        pids = _int64_array(product_ids, ConfigError, "product id")
+        if pids.ndim > 1 or pids.size not in (1, len(queries)):
+            raise DimensionMismatch(
+                f"product ids have shape {pids.shape}, expected one or {len(queries)}"
+            )
+        return pids if pids.shape == (len(queries),) else np.full(len(queries), pids)
 
-class _Entry(NamedTuple):
-    """One product's index entry.  Its records in TID order: ``tids``,
-    ``levels`` and per-record lead-time sums ``lead_sums``.  Its distinct
-    level rows in numeric order, so member 1 ascends: as ``_numeric_keys``
-    byte strings (``keys``) and as a matrix (``rows``), with each one's
-    record count and summed lead time.  And each record's distinct row."""
+    def _window_hits(self, pids: np.ndarray, queries: np.ndarray, radius: int):
+        """Yield, a chunk at a time, (query, row) index pairs where a
+        distinct row of a query's product lies within ``radius`` of the
+        query on every member.
 
-    tids: np.ndarray
-    levels: np.ndarray
-    lead_sums: np.ndarray
-    keys: np.ndarray
-    rows: np.ndarray
-    counts: np.ndarray
-    sums: np.ndarray
-    record_row: np.ndarray
-
-
-def _product_index(
-    tids: np.ndarray, levels: np.ndarray, keys: np.ndarray, lead_sums: np.ndarray
-) -> _Entry:
-    """One product's index entry from its records in TID order, with the
-    ``_numeric_keys`` of their level rows."""
-    keys, first, record_row, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    sums = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(sums, record_row, lead_sums)
-    rows = np.asfortranarray(levels[first])  # each member column contiguous
-    return _Entry(tids, levels, lead_sums, keys, rows, counts, sums, record_row)
-
-
-def _window_hits(rows: np.ndarray, queries: np.ndarray, radius: int):
-    """Yield, a chunk at a time, (query, row) index pairs where a distinct
-    row of one product lies within ``radius`` of a query on every member.
-
-    ``rows`` ascend on member 1, so a query's candidates are the rows whose
-    member 1 lies in its window ``[q1 - radius, q1 + radius]``.  The windows
-    are laid end to end and gathered ``_GATHER_ELEMENTS`` rows at a time, so
-    one query with a large window is split too.  Each candidate is compared
-    on members 2..l with its query's bounds, repeated along the window.
-    """
-    low, high = _saturated_bounds(queries, radius)
-    lo = np.searchsorted(rows[:, 0], low[:, 0], side="left")
-    sizes = np.searchsorted(rows[:, 0], high[:, 0], side="right") - lo
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    total = int(ends[-1]) if len(ends) else 0
-    for start in range(0, total, _GATHER_ELEMENTS):
-        stop = min(start + _GATHER_ELEMENTS, total)
-        # the queries whose windows overlap positions [start, stop)
-        a, b = np.searchsorted(ends, start, side="right"), np.searchsorted(starts, stop)
-        parts = np.minimum(ends[a:b], stop) - np.maximum(starts[a:b], start)
-        row = np.arange(start, stop) + np.repeat(lo[a:b] - starts[a:b], parts)
-        keep = np.ones(len(row), dtype=bool)
-        for member in range(1, rows.shape[1]):
-            level = rows[:, member].take(row)
-            keep &= level >= np.repeat(low[a:b, member], parts)
-            keep &= level <= np.repeat(high[a:b, member], parts)
-        yield np.repeat(np.arange(a, b), parts)[keep], row[keep]
+        A query's candidates are the rows of its product's block whose
+        member 1 lies in its window ``[q1 - radius, q1 + radius]``; a
+        product without records has none.  The windows of the batch are
+        laid end to end and gathered ``_GATHER_ELEMENTS`` rows at a time, so
+        one query with a large window is split too.  Each gathered row is
+        compared on member 2 with its query's bounds, repeated along the
+        window.  When under half of the rows pass, the pairs that did are
+        compressed and tested on the remaining members alone; otherwise
+        every row is tested on them and the mask is applied once.
+        """
+        low, high = (bound.T.copy() for bound in _saturated_bounds(queries, radius))
+        block = np.searchsorted(self._products, pids)
+        known = self._products[np.minimum(block, len(self._products) - 1)] == pids
+        base = block * self._block_stride
+        lo = np.searchsorted(self._window_keys, base + np.searchsorted(self._member1, low[0]))
+        hi = np.searchsorted(
+            self._window_keys, base + np.searchsorted(self._member1, high[0], side="right")
+        )
+        sizes = np.where(known, hi - lo, 0)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        total = int(ends[-1]) if len(ends) else 0
+        rows, members = self._rows, queries.shape[1]
+        for start in range(0, total, _GATHER_ELEMENTS):
+            stop = min(start + _GATHER_ELEMENTS, total)
+            # the queries whose windows overlap positions [start, stop)
+            a, b = np.searchsorted(ends, start, side="right"), np.searchsorted(starts, stop)
+            parts = np.minimum(ends[a:b], stop) - np.maximum(starts[a:b], start)
+            row = np.arange(start, stop) + np.repeat(lo[a:b] - starts[a:b], parts)
+            keep, tested = np.ones(len(row), dtype=bool), 1
+            while tested < members:  # one mask over every gathered pair
+                level = rows[:, tested].take(row)
+                keep &= level >= np.repeat(low[tested, a:b], parts)
+                keep &= level <= np.repeat(high[tested, a:b], parts)
+                tested += 1
+                if tested == 2 and 2 * np.count_nonzero(keep) < len(keep):
+                    break  # under half passed member 2
+            if tested == members:
+                yield np.repeat(np.arange(a, b), parts)[keep], row[keep]
+                continue
+            kept = np.flatnonzero(keep)
+            query, row = a + np.searchsorted(ends[a:b], start + kept, side="right"), row.take(kept)
+            for member in range(tested, members):  # the pairs that passed, alone
+                if not len(row):
+                    break
+                level = rows[:, member].take(row)
+                passed = (level >= low[member].take(query)) & (level <= high[member].take(query))
+                kept = np.flatnonzero(passed)
+                query, row = query.take(kept), row.take(kept)
+            yield query, row
 
 
 def _saturated_bounds(queries: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,6 @@ record boxes become reachable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +76,20 @@ def empty_match_candidate(
             return (product_id, *levels)
     if radius == 0:
         # Every dimension holds each box value, so the box is at most
-        # records wide, and the walk meets a free vector within records + 1
-        # steps or ends having found every vector recorded.
-        recorded = set(map(tuple, matrix.tolist()))
-        for levels in itertools.product(range(lb, ub + 1), repeat=l):
-            if levels not in recorded:
-                return (product_id, *levels)
+        # records wide.  The product's distinct rows inside the box, in
+        # lexicographic order, are the box's first vectors up to the first
+        # free one, whose rank is that of the first row that differs.
+        rows = store.distinct_rows(product_id)
+        rows = rows[((rows >= lb) & (rows <= ub)).all(axis=1)]
+        width = ub - lb + 1
+        # place values past len(rows) give digit 0 for every rank used
+        places = [min(width**power, len(rows) + 1) for power in range(l - 1, -1, -1)]
+        ranks = np.arange(len(rows) + 1)[:, None]
+        vectors = lb + ranks // np.array(places) % width
+        differs = np.flatnonzero((vectors[:-1] != rows).any(axis=1))
+        free = int(differs[0]) if differs.size else len(rows)
+        if free < width**l:
+            return (product_id, *vectors[free].tolist())
     return None
 
 

@@ -145,6 +145,18 @@ class TestEvaluate:
         with pytest.raises(MissingRawMaterial):
             ss.FitnessEvaluator(store, cfg).evaluate([9, 0, 0, 0, 0, 0, 0, 0])
 
+    def test_missing_raw_material_names_lowest_product(self, store):
+        evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(bounds=ss.Bounds(product_ub=9)))
+        batch = np.zeros((4, 8))
+        batch[:, 0] = [9, 3, 7, 8]
+        with pytest.raises(MissingRawMaterial, match=r"^product 7 has no raw-material rows$"):
+            evaluator.evaluate_batch(batch)
+        zeros = np.zeros(3, dtype=np.int64)
+        with pytest.raises(MissingRawMaterial, match=r"^product 6 has no raw-material rows$"):
+            evaluator.score([1, 9, 6], zeros, zeros)
+        want = [store.raw_lead_time_total(pid) for pid in (3, 1, 3)]
+        assert store.raw_lead_time_totals(np.array([3, 1, 3])).tolist() == want
+
     def test_lead_time_total_past_int64_rejected(self, tiny_rows):
         # each row's lead time fits int64; a product total of 2**63 does not,
         # and an int64 t_stock matching both rows would wrap

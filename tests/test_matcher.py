@@ -88,6 +88,35 @@ stores = st.one_of(
     small_stores(), small_stores(st.sampled_from([-1, 1])), small_stores(EDGE_LEVELS)
 )
 
+@st.composite
+def sparse_stores(draw):
+    """A 3-member store of product 1 whose member 1 is always 0 and whose
+    member 2 is a distinct multiple of 10 on each of 8 to 16 records.  A
+    window at radius 1 holds every row, and member 2 passes at most one."""
+    member2 = draw(st.lists(st.integers(-90, 90), min_size=8, max_size=16, unique=True))
+    history = [
+        (tid, 1, (0, 10 * v, draw(st.integers(-1, 1)))) for tid, v in enumerate(member2, start=1)
+    ]
+    leads = [(tid, (tid % 5, 2)) for tid, _, _ in history]
+    return ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, [(1, 1, 7)])
+
+
+ONE = st.integers(-1, 1)
+
+
+def member2_share(store, batch, radius):
+    """The share of (query, distinct row) window pairs that pass member 2;
+    a query's window holds its product's distinct rows within ``radius``
+    on member 1."""
+    pairs = passed = 0
+    for pid, *levels in batch:
+        rows = np.unique(store.history[store.history[:, 1] == pid, 2:], axis=0)
+        window = rows[np.abs(rows[:, 0] - levels[0]) <= radius]
+        pairs += len(window)
+        passed += int((np.abs(window[:, 1] - levels[1]) <= radius).sum())
+    return passed / pairs
+
+
 positions = st.lists(
     st.tuples(
         st.floats(min_value=0.5, max_value=5.49),
@@ -125,7 +154,7 @@ class TestAgainstReference:
     @given(store=stores, batch=st.lists(queries, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_match_counts(self, radius, store, batch):
-        # one product per call, as evaluate_batch asks; product 5 has no records.
+        # one product id for the whole batch, which broadcasts; product 5 has no records.
         # The recorded rows are queries too, so radius 0 finds every repeated row.
         levels = np.array([q[1:] for q in batch], dtype=np.int64).reshape(-1, 3)
         levels = np.concatenate([levels, store.history[:, 2:]])
@@ -148,6 +177,68 @@ class TestAgainstReference:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(history, "_GATHER_ELEMENTS", elements)
             assert hexes(evaluator.evaluate_batch(np.array(batch))) == hexes(want)
+
+    @pytest.mark.parametrize("radius", MATCH_RADII)
+    @given(store=stores, batch=st.lists(queries, max_size=12), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_match_counts_one_product_per_row(self, radius, store, batch, data):
+        # Products 1..4 may have records, product 5 has raw rows but none,
+        # and product 9 has no rows at all; all of them share one call.
+        levels = np.array([q[1:] for q in batch], dtype=np.int64).reshape(-1, 3)
+        levels = np.concatenate([levels, store.history[:, 2:]])
+        products = st.sampled_from([1, 2, 3, 4, 5, 9])
+        pids = data.draw(st.lists(products, min_size=len(levels), max_size=len(levels)))
+        occ, t_stock = store.match_counts(np.array(pids), levels, radius)
+        want = [reference_match(store, pid, q, radius) for pid, q in zip(pids, levels.tolist())]
+        assert occ.tolist() == [len(tids) for tids, _ in want]
+        assert t_stock.tolist() == [lead for _, lead in want]
+        assert all(n == 0 for pid, n in zip(pids, occ.tolist()) if pid in (5, 9))
+
+    @pytest.mark.parametrize("elements", [1, 10, 40])
+    @pytest.mark.parametrize("radius", [1, 6])
+    @given(store=stores, batch=st.lists(queries, min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_match_counts_across_box_test_chunks(self, elements, radius, store, batch):
+        pids = np.array([q[0] for q in batch])
+        levels = np.array([q[1:] for q in batch], dtype=np.int64)
+        want = [reference_match(store, q[0], q[1:], radius) for q in batch]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(history, "_GATHER_ELEMENTS", elements)
+            occ, t_stock = store.match_counts(pids, levels, radius)
+        assert occ.tolist() == [len(tids) for tids, _ in want]
+        assert t_stock.tolist() == [lead for _, lead in want]
+
+    @pytest.mark.parametrize(
+        "store_strategy, batch_strategy, dense",
+        [
+            # member 2 of every query is 0, so every {-1, 1} row passes it
+            (
+                small_stores(st.sampled_from([-1, 1])),
+                st.tuples(st.integers(1, 5), ONE, st.just(0), st.integers(-2, 2)),
+                True,
+            ),
+            (sparse_stores(), st.tuples(st.just(1), ONE, st.integers(-901, 901), ONE), False),
+        ],
+        ids=["dense-keeps-most", "sparse-drops-most"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_match_counts_on_both_sides_of_the_compress_rule(
+        self, store_strategy, batch_strategy, dense, data
+    ):
+        # When under half of the window rows pass member 2, the kernel
+        # compresses the pairs; each case checks which side it is on.  The
+        # recorded rows are queries too, with member 2 at 0 in the dense case.
+        store = data.draw(store_strategy)
+        batch = data.draw(st.lists(batch_strategy, min_size=1, max_size=12))
+        recorded = store.history[:, 1:].tolist()
+        batch += [(p, f1, 0 if dense else f2, f3) for p, f1, f2, f3 in recorded]
+        assert (member2_share(store, batch, 1) >= 0.5) == dense
+        pids, levels = np.array([q[0] for q in batch]), [q[1:] for q in batch]
+        occ, t_stock = store.match_counts(pids, levels, 1)
+        want = [reference_match(store, q[0], q[1:], 1) for q in batch]
+        assert occ.tolist() == [len(tids) for tids, _ in want]
+        assert t_stock.tolist() == [lead for _, lead in want]
 
     @given(store=small_stores(), query=queries)
     @settings(max_examples=30, deadline=None)
@@ -249,6 +340,21 @@ class TestQueriesOutsideInt64:
         for queries in (query, query.astype(np.float64), query.tolist()):
             with pytest.raises(ConfigError, match="int64"):
                 store.match_counts(3, queries, radius)
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_match_counts_checks_product_ids(self, store, radius):
+        levels = store.history[:3, 2:]  # TID 1 is product 3's only match here
+        want = [[1, 0, 0], [121, 0, 0]]
+        for pids in (3, [3], 3.0, np.array([3, 3, 3])):
+            assert [a.tolist() for a in store.match_counts(pids, levels, radius)] == want
+        for pids in ([3, 3], [[3, 3, 3]]):
+            with pytest.raises(DimensionMismatch):
+                store.match_counts(pids, levels, radius)
+        for pid in (3.5, math.nan, 2**70):
+            with pytest.raises(ConfigError, match="int64"):
+                store.match_counts(pid, levels, radius)
+            with pytest.raises(ConfigError, match="int64"):
+                store.match_individual(pid, levels[0], radius)
 
     def test_match_counts_accepts_integral_floats(self, store):
         occ, t_stock = store.match_counts(3, np.array([[632.0, 424, 247, -298, -115, 365, 961]]), 0)
@@ -373,3 +479,34 @@ class TestNumericKeys:
         distinct = np.unique(matrix, axis=0)  # rows in lexicographic order
         assert np.array_equal(np.unique(keys), history._numeric_keys(distinct))
 
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([1, 2, 2**63 - 1]),
+                *[st.sampled_from(INT64_EDGES) | st.integers(-(2**63), 2**63 - 1)] * 3,
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_index_keys_follow_product_then_levels(self, rows):
+        history_rows = [(tid, pid, levels) for tid, (pid, *levels) in enumerate(rows, start=1)]
+        leads = [(tid, (0, 0)) for tid, _, _ in history_rows]
+        raws = [(pid, 1, 1) for pid in {pid for pid, *_ in rows}]
+        store = ss.HistoryStore.from_records(SMALL_TOPOLOGY, history_rows, leads, raws)
+        distinct = np.unique(store.history[:, 1:], axis=0)  # (PI, F1..F3) in lexicographic order
+        assert np.array_equal(store._rows, distinct[:, 1:])
+        assert store._rows.flags.f_contiguous  # the box test reads one member at a time
+        assert np.array_equal(store._keys, history._numeric_keys(distinct))
+        # window keys ascend: the product's block first, then the row's place
+        # among all rows sorted on member 1, which lies between the counts of
+        # member-1 values below and up to its own
+        assert (np.diff(store._window_keys) > 0).all()
+        block, place = np.divmod(store._window_keys, store._block_stride)
+        assert np.array_equal(block, np.unique(distinct[:, 0], return_inverse=True)[1])
+        member1 = np.sort(distinct[:, 1])
+        assert np.array_equal(store._member1, member1)
+        assert (np.searchsorted(member1, distinct[:, 1], side="left") <= place).all()
+        assert (place < np.searchsorted(member1, distinct[:, 1], side="right")).all()

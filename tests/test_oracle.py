@@ -28,6 +28,17 @@ def reference_oracle(store, config):
     )
 
 
+def reference_empty_vector(store, product_id, lb, ub):
+    """The first vector of the stock box ``[lb, ub]`` in lexicographic
+    order that no record of ``product_id`` holds, or None: a walk over the
+    box against a set of the recorded vectors."""
+    recorded = {r.levels for r in store.records if r.product_id == product_id}
+    for levels in itertools.product(range(lb, ub + 1), repeat=store.topology.member_count):
+        if levels not in recorded:
+            return (product_id, *levels)
+    return None
+
+
 SMALL_TOPOLOGY = ss.Topology(dc_count=1, agents_per_dc=(1,))
 SMALL_BOUNDS = dict(product_lb=1, stock_lb=-3, stock_ub=3)
 
@@ -131,6 +142,34 @@ class TestBruteForceBound:
         assert result.best_fitness == evaluator.evaluate([1, -1, -1, 0])
         assert result.best_fitness == pytest.approx(np.log(5.0))
         assert evaluator.evaluate([1, 0, 0, 0]) == pytest.approx(np.log(10.0))
+
+    @given(data=st.data(), lb=st.integers(-3, 3), width=st.integers(2, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_covered_box_vector_matches_walk(self, data, lb, width):
+        # Each product records every box value on every member (its diagonal),
+        # some of the box's other vectors, and a few vectors just outside it.
+        ub = lb + width - 1
+        box = list(itertools.product(range(lb, ub + 1), repeat=3))
+        outside = st.tuples(*[st.integers(lb - 2, ub + 2)] * 3)
+        rows = []
+        for pid in (1, 2):
+            kept = data.draw(st.lists(st.booleans(), min_size=len(box), max_size=len(box)))
+            vectors = {(v,) * 3 for v in range(lb, ub + 1)}
+            vectors |= {v for v, keep in zip(box, kept) if keep}
+            vectors |= set(data.draw(st.lists(outside, max_size=4)))
+            rows += [(pid, v) for v in vectors]
+        rows = data.draw(st.permutations(rows))
+        history = [(tid, pid, v) for tid, (pid, v) in enumerate(rows, start=1)]
+        leads = [(tid, (1, 1)) for tid, _, _ in history]
+        store = ss.HistoryStore.from_records(
+            SMALL_TOPOLOGY, history, leads, [(1, 1, 10), (2, 1, 10)]
+        )
+        cfg = ss.PsoConfig(
+            match_radius=0, bounds=ss.Bounds(product_lb=1, product_ub=2, stock_lb=lb, stock_ub=ub)
+        )
+        for pid in (1, 2):
+            want = reference_empty_vector(store, pid, lb, ub)
+            assert ss.empty_match_candidate(store, pid, cfg) == want
 
     def test_fully_recorded_box_skips_product(self):
         vectors = list(itertools.product((0, 1), repeat=3))
