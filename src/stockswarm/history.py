@@ -139,17 +139,22 @@ class HistoryStore:
         keys = _numeric_keys(grouped[:, 1:])
         bounds = zip(record_starts, self._record_starts[1:])
         order = np.concatenate([a + np.argsort(keys[a:b], kind="stable") for a, b in bounds])
-        ordered = grouped.take(order, axis=0)[:, 1:]  # PI, F1..Fl in key order
+        keys = keys.take(order)
+        words = keys.view(np.uint64).reshape(n, -1)  # PI, F1..Fl as big-endian words
         opens = np.ones(n, dtype=bool)  # where a new distinct row starts
-        opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        opens[1:] = (words[1:] != words[:-1]).any(axis=1)
         first = np.flatnonzero(opens)
+        self._keys = keys[first]
+        del keys, words  # a key per record, the build's largest temporary
         self._record_row = np.empty(n, dtype=np.int64)
         self._record_row[order] = np.cumsum(opens) - 1
         self._row_starts = np.searchsorted(first, self._record_starts)
-        self._keys = keys.take(order[first])
         self._counts = np.diff(np.append(first, n))
         self._sums = np.add.reduceat(self._lead_sums.take(order), first)
-        self._rows = np.asfortranarray(ordered.take(first, axis=0)[:, 1:])  # columns contiguous
+        self._rows = np.empty((len(first), self._levels.shape[1]), dtype=np.int64, order="F")
+        record = order[first]  # a record of each distinct row
+        for source, column in zip(self._levels.T, self._rows.T):  # member columns contiguous
+            source.take(record, out=column)
         by_member1 = np.argsort(self._rows[:, 0], kind="stable")
         self._member1 = self._rows[by_member1, 0]
         self._block_stride = len(first) + 1
