@@ -212,7 +212,7 @@ class FitnessEvaluator:
         matched records.  A non-positive log argument raises for the first
         position that has one.
         """
-        t_raw = self._store.raw_lead_time_totals(pids)
+        t_raw = self._store._raw_lead_time_totals(pids)
         w = self._weights
         argument = w.w2 * t_stock + w.w3 * t_raw
         bad = np.flatnonzero(argument <= 0.0)

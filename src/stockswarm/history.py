@@ -231,7 +231,9 @@ class HistoryStore:
 
     def _spans(self, product_id: int) -> tuple[slice, slice] | None:
         """A product's records and its block of distinct rows, or None when
-        it has no records."""
+        it has no records.  An id that is not an int64 integer raises
+        ConfigError."""
+        product_id = _int64_array(product_id, ConfigError, "product id")
         at = int(np.searchsorted(self._products, product_id))
         if at == len(self._products) or self._products[at] != product_id:
             return None
@@ -248,7 +250,7 @@ class HistoryStore:
             return None
         return self._tids[spans[0]], self._levels[spans[0]], self._lead_sums[spans[0]]
 
-    def distinct_rows(self, product_id: int) -> np.ndarray:
+    def _distinct_rows(self, product_id: int) -> np.ndarray:
         """Read-only (rows, members) matrix of one product's distinct level
         rows in lexicographic order; no rows when it has no records."""
         spans = self._spans(product_id)
@@ -309,9 +311,9 @@ class HistoryStore:
     def raw_lead_time_total(self, product_id: int) -> int:
         """Sum of raw-material supply days for one product."""
         product_ids = _int64_array([product_id], ConfigError, "product id")
-        return int(self.raw_lead_time_totals(product_ids)[0])
+        return int(self._raw_lead_time_totals(product_ids)[0])
 
-    def raw_lead_time_totals(self, product_ids: np.ndarray) -> np.ndarray:
+    def _raw_lead_time_totals(self, product_ids: np.ndarray) -> np.ndarray:
         """Sums of raw-material supply days for an int64 array of product
         ids.  The lowest id without raw-material rows raises
         MissingRawMaterial."""
@@ -349,10 +351,12 @@ class HistoryStore:
         product without records has none.  The windows of the batch are
         laid end to end and gathered ``_GATHER_ELEMENTS`` rows at a time, so
         one query with a large window is split too.  Each gathered row is
-        compared on member 2 with its query's bounds, repeated along the
-        window.  When under half of the rows pass, the pairs that did are
-        compressed and tested on the remaining members alone; otherwise
-        every row is tested on them and the mask is applied once.
+        compared with its query's bounds, repeated along the window, in one
+        mask over the members.  Member 2 rejects most rows when hits are
+        rare, so the rows that fail it are dropped before the remaining
+        members are tested.  Those share the mask: in a wide window most
+        rows pass every member, and dropping rows again would cost more
+        than it saves.
         """
         low, high = (bound.T.copy() for bound in _saturated_bounds(queries, radius))
         block = np.searchsorted(self._products, pids)
@@ -373,27 +377,16 @@ class HistoryStore:
             a, b = np.searchsorted(ends, start, side="right"), np.searchsorted(starts, stop)
             parts = np.minimum(ends[a:b], stop) - np.maximum(starts[a:b], start)
             row = np.arange(start, stop) + np.repeat(lo[a:b] - starts[a:b], parts)
-            keep, tested = np.ones(len(row), dtype=bool), 1
-            while tested < members:  # one mask over every gathered pair
-                level = rows[:, tested].take(row)
-                keep &= level >= np.repeat(low[tested, a:b], parts)
-                keep &= level <= np.repeat(high[tested, a:b], parts)
-                tested += 1
-                if tested == 2 and 2 * np.count_nonzero(keep) < len(keep):
-                    break  # under half passed member 2
-            if tested == members:
-                yield np.repeat(np.arange(a, b), parts)[keep], row[keep]
-                continue
-            kept = np.flatnonzero(keep)
-            query, row = a + np.searchsorted(ends[a:b], start + kept, side="right"), row.take(kept)
-            for member in range(tested, members):  # the pairs that passed, alone
-                if not len(row):
-                    break
+            keep = np.ones(len(row), dtype=bool)
+            for member in range(1, members):
                 level = rows[:, member].take(row)
-                passed = (level >= low[member].take(query)) & (level <= high[member].take(query))
-                kept = np.flatnonzero(passed)
-                query, row = query.take(kept), row.take(kept)
-            yield query, row
+                keep &= level >= np.repeat(low[member, a:b], parts)
+                keep &= level <= np.repeat(high[member, a:b], parts)
+                if member == 1:  # keep the rows that passed, and count them per query
+                    kept = np.flatnonzero(keep)
+                    parts = np.diff(np.searchsorted(kept, np.append(0, np.cumsum(parts))))
+                    row, keep = row.take(kept), np.ones(len(kept), dtype=bool)
+            yield np.repeat(np.arange(a, b), parts)[keep], row[keep]
 
 
 def _saturated_bounds(queries: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:

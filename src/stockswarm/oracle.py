@@ -79,7 +79,7 @@ def empty_match_candidate(
         # records wide.  The product's distinct rows inside the box, in
         # lexicographic order, are the box's first vectors up to the first
         # free one, whose rank is that of the first row that differs.
-        rows = store.distinct_rows(product_id)
+        rows = store._distinct_rows(product_id)
         rows = rows[((rows >= lb) & (rows <= ub)).all(axis=1)]
         width = ub - lb + 1
         # place values past len(rows) give digit 0 for every rank used

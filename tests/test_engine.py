@@ -155,7 +155,7 @@ class TestEvaluate:
         with pytest.raises(MissingRawMaterial, match=r"^product 6 has no raw-material rows$"):
             evaluator.score([1, 9, 6], zeros, zeros)
         want = [store.raw_lead_time_total(pid) for pid in (3, 1, 3)]
-        assert store.raw_lead_time_totals(np.array([3, 1, 3])).tolist() == want
+        assert store._raw_lead_time_totals(np.array([3, 1, 3])).tolist() == want
 
     def test_lead_time_total_past_int64_rejected(self, tiny_rows):
         # each row's lead time fits int64; a product total of 2**63 does not,

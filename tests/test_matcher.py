@@ -223,12 +223,14 @@ class TestAgainstReference:
     )
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_match_counts_on_both_sides_of_the_compress_rule(
+    def test_match_counts_when_member_2_keeps_most_or_few_rows(
         self, store_strategy, batch_strategy, dense, data
     ):
-        # When under half of the window rows pass member 2, the kernel
-        # compresses the pairs; each case checks which side it is on.  The
-        # recorded rows are queries too, with member 2 at 0 in the dense case.
+        # The kernel drops the window rows that fail member 2 before it tests
+        # the rest; in the dense case every row passes it and member 3
+        # decides, in the sparse case few pass.  Each case checks which it
+        # is.  The recorded rows are queries too, with member 2 at 0 in the
+        # dense case.
         store = data.draw(store_strategy)
         batch = data.draw(st.lists(batch_strategy, min_size=1, max_size=12))
         recorded = store.history[:, 1:].tolist()
@@ -355,6 +357,9 @@ class TestQueriesOutsideInt64:
                 store.match_counts(pid, levels, radius)
             with pytest.raises(ConfigError, match="int64"):
                 store.match_individual(pid, levels[0], radius)
+            with pytest.raises(ConfigError, match="int64"):
+                store.product_rows(pid)
+        assert store.product_rows(3.0)[0].tolist() == store.product_rows(3)[0].tolist()
 
     def test_match_counts_accepts_integral_floats(self, store):
         occ, t_stock = store.match_counts(3, np.array([[632.0, 424, 247, -298, -115, 365, 961]]), 0)
