@@ -63,7 +63,9 @@ class Topology:
     agents_per_dc: tuple[int, ...] = (2, 2)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "agents_per_dc", tuple(int(a) for a in self.agents_per_dc))
+        object.__setattr__(self, "dc_count", _integer(self.dc_count, "dc_count"))
+        agents = tuple(_integer(a, "agents_per_dc entry") for a in self.agents_per_dc)
+        object.__setattr__(self, "agents_per_dc", agents)
         if self.dc_count < 0:
             raise ConfigError(f"dc_count must be >= 0, got {self.dc_count}")
         if len(self.agents_per_dc) != self.dc_count:

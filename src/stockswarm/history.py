@@ -124,10 +124,8 @@ class HistoryStore:
         the blocks of distinct rows follow each other in key order and
         member 1 ascends inside a block.  Each distinct row has its key, a
         record count and a summed lead time; each record knows its row.
-        ``_window_keys`` number each row by its block and by its place in a
-        stable sort of all rows on member 1, ``_member1``.  That place lies
-        between the counts of rows below and up to its member 1, so two
-        int64 searches find the member-1 window of a query on any product.
+        This one key order answers every query: an exact key at radius 0,
+        and otherwise a member-1 window between two keys.
         """
         n = len(history)
         by_product = np.argsort(history[:, 1], kind="stable")
@@ -155,12 +153,6 @@ class HistoryStore:
         record = order[first]  # a record of each distinct row
         for source, column in zip(self._levels.T, self._rows.T):  # member columns contiguous
             source.take(record, out=column)
-        by_member1 = np.argsort(self._rows[:, 0], kind="stable")
-        self._member1 = self._rows[by_member1, 0]
-        self._block_stride = len(first) + 1
-        self._window_keys = np.repeat(np.arange(len(record_starts)), np.diff(self._row_starts))
-        self._window_keys *= self._block_stride
-        self._window_keys[by_member1] += np.arange(len(first))
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
@@ -341,32 +333,37 @@ class HistoryStore:
             )
         return pids if pids.shape == (len(queries),) else np.full(len(queries), pids)
 
+    def _windows(self, pids: np.ndarray, low: np.ndarray, high: np.ndarray):
+        """Start and stop, in the distinct rows, of each product's rows whose
+        member 1 lies in ``[low, high]``.  They lie between the keys of
+        ``(PI, low, INT64_MIN, ...)`` and ``(PI, high, INT64_MAX, ...)``, both
+        included; a product without records gets an empty range."""
+        edge = np.full((len(pids), self._rows.shape[1] + 1), INT64_MIN, dtype=np.int64)
+        edge[:, 0], edge[:, 1] = pids, low
+        lo = np.searchsorted(self._keys, _numeric_keys(edge), side="left")
+        edge[:, 1], edge[:, 2:] = high, INT64_MAX
+        return lo, np.searchsorted(self._keys, _numeric_keys(edge), side="right")
+
     def _window_hits(self, pids: np.ndarray, queries: np.ndarray, radius: int):
         """Yield, a chunk at a time, (query, row) index pairs where a
         distinct row of a query's product lies within ``radius`` of the
         query on every member.
 
         A query's candidates are the rows of its product's block whose
-        member 1 lies in its window ``[q1 - radius, q1 + radius]``; a
-        product without records has none.  The windows of the batch are
-        laid end to end and gathered ``_GATHER_ELEMENTS`` rows at a time, so
-        one query with a large window is split too.  Each gathered row is
-        compared with its query's bounds, repeated along the window, in one
-        mask over the members.  Member 2 rejects most rows when hits are
-        rare, so the rows that fail it are dropped before the remaining
-        members are tested.  Those share the mask: in a wide window most
-        rows pass every member, and dropping rows again would cost more
-        than it saves.
+        member 1 lies in its window ``[q1 - radius, q1 + radius]``, found
+        by ``_windows``.  The windows of the batch are laid end to end and
+        gathered ``_GATHER_ELEMENTS`` rows at a time, so one query with a
+        large window is split too.  Each gathered row is compared with its
+        query's bounds, repeated along the window, in one mask over the
+        members.  Member 2 rejects most rows when hits are rare, so the
+        rows that fail it are dropped before the remaining members are
+        tested.  Those share the mask: in a wide window most rows pass
+        every member, and dropping rows again would cost more than it
+        saves.
         """
-        low, high = (bound.T.copy() for bound in _saturated_bounds(queries, radius))
-        block = np.searchsorted(self._products, pids)
-        known = self._products[np.minimum(block, len(self._products) - 1)] == pids
-        base = block * self._block_stride
-        lo = np.searchsorted(self._window_keys, base + np.searchsorted(self._member1, low[0]))
-        hi = np.searchsorted(
-            self._window_keys, base + np.searchsorted(self._member1, high[0], side="right")
-        )
-        sizes = np.where(known, hi - lo, 0)
+        low, high = _saturated_bounds(queries, radius)
+        lo, hi = self._windows(pids, low[:, 0], high[:, 0])
+        low, high, sizes = low.T.copy(), high.T.copy(), hi - lo
         ends = np.cumsum(sizes)
         starts = ends - sizes
         total = int(ends[-1]) if len(ends) else 0

@@ -52,13 +52,12 @@ def empty_match_candidate(
     l = store.topology.member_count
     lb, ub = config.bounds.stock_lb, config.bounds.stock_ub
     radius = config.match_radius
-    rows = store.product_rows(product_id)
+    rows = store._distinct_rows(product_id)
     filler = min(max(0, lb), ub)
-    if rows is None:
+    if len(rows) == 0:
         return (product_id,) + (filler,) * l
-    _, matrix, _ = rows
     for dim in range(l):
-        values = np.unique(matrix[:, dim]).tolist()  # Python ints: gaps never wrap
+        values = np.unique(rows[:, dim]).tolist()  # Python ints: gaps never wrap
         values = [v for v in values if lb - radius <= v <= ub + radius]  # those near the box
         chosen: int | None = None
         if not values or values[0] - lb > radius:
@@ -79,7 +78,6 @@ def empty_match_candidate(
         # records wide.  The product's distinct rows inside the box, in
         # lexicographic order, are the box's first vectors up to the first
         # free one, whose rank is that of the first row that differs.
-        rows = store._distinct_rows(product_id)
         rows = rows[((rows >= lb) & (rows <= ub)).all(axis=1)]
         width = ub - lb + 1
         # place values past len(rows) give digit 0 for every rank used

@@ -9,12 +9,12 @@ so one seed always yields the same rows and the same file bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .domain import INT64_MAX, INT64_MIN, Topology
+from .domain import INT64_MAX, INT64_MIN, Topology, _integer
 from .errors import ConfigError
 from .history import _headers
 
@@ -38,6 +38,8 @@ class SynthConfig:
     raw_time_ub: int = 35
 
     def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self) if f.name != "topology"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("products", "stock_lb", "stock_ub"):  # the draws take int64 bounds
             if not INT64_MIN <= getattr(self, name) <= INT64_MAX:
                 raise ConfigError(f"{name} {getattr(self, name)} is outside the int64 range")

@@ -27,6 +27,9 @@ class TestTopology:
         t = ss.Topology(dc_count=2, agents_per_dc=[3, 1])
         assert t.agents_per_dc == (3, 1)
         assert t.member_count == 7
+        t = ss.Topology(dc_count=np.int64(1), agents_per_dc=np.array([3]))
+        assert (t.dc_count, t.agents_per_dc, t.member_count) == (1, (3,), 5)
+        assert all(type(v) is int for v in (t.dc_count, *t.agents_per_dc))
 
     def test_rejects_negative_dc_count(self):
         with pytest.raises(ConfigError):
@@ -39,6 +42,19 @@ class TestTopology:
     def test_rejects_empty_dc(self):
         with pytest.raises(ConfigError):
             ss.Topology(dc_count=2, agents_per_dc=(2, 0))
+
+    @pytest.mark.parametrize(
+        "dc_count, agents, field",
+        [
+            (2.0, (2, 2), "dc_count"),  # once gave member_count 7.0
+            (None, (), "dc_count"),
+            (2, (2.7, "2"), "agents_per_dc entry"),  # once read as (2, 2)
+            (1, ("x",), "agents_per_dc entry"),
+        ],
+    )
+    def test_rejects_non_integer_sizes(self, dc_count, agents, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            ss.Topology(dc_count=dc_count, agents_per_dc=agents)
 
     @given(st.lists(st.integers(min_value=1, max_value=9), min_size=0, max_size=6))
     def test_dimension_minus_one_is_member_count(self, agents):

@@ -242,6 +242,32 @@ class TestAgainstReference:
         assert occ.tolist() == [len(tids) for tids, _ in want]
         assert t_stock.tolist() == [lead for _, lead in want]
 
+    @pytest.mark.parametrize("radius", [0, 1, 3])
+    @pytest.mark.parametrize("centre", [0, -(2**63) + 3, 2**63 - 4], ids=["0", "low", "high"])
+    def test_window_edges_with_members_at_int64_limits(self, radius, centre):
+        # Products 2 and 4 hold records with member 1 on and just past
+        # centre +- radius and members 2 and 3 at the int64 limits, the
+        # values that fill the keys bounding each member-1 window, so some
+        # records equal a bounding key.  Products 1, 3 and 5 lie below,
+        # between and above them and hold no records.
+        limits = [-(2**63), 2**63 - 1]
+        firsts = range(max(centre - radius - 1, -(2**63)), min(centre + radius + 1, 2**63 - 1) + 1)
+        levels = [(f, f2, f3) for f in firsts for f2 in limits for f3 in limits]
+        rows = [(pid, lv) for pid in (2, 4) for lv in levels]
+        history_rows = [(tid, pid, lv) for tid, (pid, lv) in enumerate(rows, start=1)]
+        leads = [(tid, (tid % 5, 1)) for tid, _, _ in history_rows]
+        store = ss.HistoryStore.from_records(
+            SMALL_TOPOLOGY, history_rows, leads, [(pid, 1, 2) for pid in range(1, 6)]
+        )
+        batch = [(pid, centre, f2, f3) for pid in range(1, 6) for f2 in limits for f3 in limits]
+        want = [reference_match(store, q[0], q[1:], radius) for q in batch]
+        assert any(tids for tids, _ in want)
+        occ, t_stock = store.match_counts([q[0] for q in batch], [q[1:] for q in batch], radius)
+        assert occ.tolist() == [len(tids) for tids, _ in want]
+        assert t_stock.tolist() == [lead for _, lead in want]
+        for query, (tids, _) in zip(batch, want):
+            assert store.match_individual(query[0], query[1:], radius).tolist() == tids
+
     @given(store=small_stores(), query=queries)
     @settings(max_examples=30, deadline=None)
     def test_product_without_records_matches_nothing(self, store, query):
@@ -493,10 +519,18 @@ class TestNumericKeys:
             ),
             min_size=1,
             max_size=40,
-        )
+        ),
+        queries=st.lists(
+            st.tuples(
+                st.sampled_from([-(2**63), 0, 1, 2, 3, 2**63 - 1]),
+                st.sampled_from(INT64_EDGES) | st.integers(-(2**63), 2**63 - 1),
+            ),
+            max_size=10,
+        ),
+        radius=st.sampled_from([0, 1, 2**62, 2**64]) | st.integers(0, 2**63),
     )
     @settings(max_examples=200, deadline=None)
-    def test_index_keys_follow_product_then_levels(self, rows):
+    def test_index_keys_follow_product_then_levels(self, rows, queries, radius):
         history_rows = [(tid, pid, levels) for tid, (pid, *levels) in enumerate(rows, start=1)]
         leads = [(tid, (0, 0)) for tid, _, _ in history_rows]
         raws = [(pid, 1, 1) for pid in {pid for pid, *_ in rows}]
@@ -505,13 +539,24 @@ class TestNumericKeys:
         assert np.array_equal(store._rows, distinct[:, 1:])
         assert store._rows.flags.f_contiguous  # the box test reads one member at a time
         assert np.array_equal(store._keys, history._numeric_keys(distinct))
-        # window keys ascend: the product's block first, then the row's place
-        # among all rows sorted on member 1, which lies between the counts of
-        # member-1 values below and up to its own
-        assert (np.diff(store._window_keys) > 0).all()
-        block, place = np.divmod(store._window_keys, store._block_stride)
-        assert np.array_equal(block, np.unique(distinct[:, 0], return_inverse=True)[1])
-        member1 = np.sort(distinct[:, 1])
-        assert np.array_equal(store._member1, member1)
-        assert (np.searchsorted(member1, distinct[:, 1], side="left") <= place).all()
-        assert (place < np.searchsorted(member1, distinct[:, 1], side="right")).all()
+        # the two key searches find each query's product rows with member 1
+        # in [q1 - radius, q1 + radius], in key order; some windows end on
+        # the member 1 of a row, whose members 2 and 3 are often at the
+        # int64 limits that fill the bounding keys
+        queries += [
+            (pid, f1 + side * radius)
+            for pid, f1, *_ in distinct.tolist()
+            for side in (-1, 1)
+            if -(2**63) <= f1 + side * radius <= 2**63 - 1
+        ]
+        pids = np.array([pid for pid, _ in queries], dtype=np.int64)
+        member1 = np.array([[q1] * 3 for _, q1 in queries], dtype=np.int64).reshape(-1, 3)
+        low, high = history._saturated_bounds(member1, radius)
+        lo, hi = store._windows(pids, low[:, 0], high[:, 0])
+        for (pid, q1), start, stop in zip(queries, lo.tolist(), hi.tolist()):
+            want = [
+                row[1:]
+                for row in distinct.tolist()
+                if row[0] == pid and q1 - radius <= row[1] <= q1 + radius
+            ]
+            assert store._rows[start:stop].tolist() == want

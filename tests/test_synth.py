@@ -69,6 +69,23 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             ss.SynthConfig(raw_time_lb=9, raw_time_ub=8)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("periods", 2.5),  # once a TypeError inside generate
+            ("products", 2.5),
+            ("link_time_ub", 7.5),  # once accepted
+            ("stock_lb", -3.5),
+            ("stock_ub", "9"),
+            ("link_time_lb", None),
+            ("raw_time_lb", 6.0),
+            ("raw_time_ub", 35.5),
+        ],
+    )
+    def test_rejects_non_integer_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            ss.SynthConfig(**{field: value})
+
 
 class TestWriteFixtures:
     def test_files_pass_validation(self, tmp_path):
