@@ -172,6 +172,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write to {args.out}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(
+            f"error: {args.periods} periods and {args.products} products do not fit in memory",
+            file=sys.stderr,
+        )
+        return 3
     extra = {name: str(value) for name, value in options.items()}
     (Path(args.out) / "manifest.json").write_bytes(_manifest(args, settings, paths, extra))
     for name, path in paths.items():

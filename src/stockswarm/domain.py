@@ -64,7 +64,13 @@ class Topology:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dc_count", _integer(self.dc_count, "dc_count"))
-        agents = tuple(_integer(a, "agents_per_dc entry") for a in self.agents_per_dc)
+        try:
+            entries = iter(self.agents_per_dc)
+        except TypeError:
+            raise ConfigError(
+                f"agents_per_dc must be an integer sequence, got {self.agents_per_dc!r}"
+            ) from None
+        agents = tuple(_integer(a, "agents_per_dc entry") for a in entries)
         object.__setattr__(self, "agents_per_dc", agents)
         if self.dc_count < 0:
             raise ConfigError(f"dc_count must be >= 0, got {self.dc_count}")

@@ -38,9 +38,11 @@ class SynthConfig:
     raw_time_ub: int = 35
 
     def __post_init__(self) -> None:
+        if not isinstance(self.topology, Topology):
+            raise ConfigError(f"topology must be a Topology, got {self.topology!r}")
         for name in (f.name for f in fields(self) if f.name != "topology"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
-        for name in ("products", "stock_lb", "stock_ub"):  # the draws take int64 bounds
+        for name in ("periods", "products", "stock_lb", "stock_ub"):  # int64 sizes and bounds
             if not INT64_MIN <= getattr(self, name) <= INT64_MAX:
                 raise ConfigError(f"{name} {getattr(self, name)} is outside the int64 range")
         if self.periods < 1:
@@ -60,50 +62,45 @@ class SynthConfig:
             value = getattr(self, name)
             if draws * value > INT64_MAX:
                 raise ConfigError(f"{draws} draws of {name} {value} can sum past the int64 range")
+        # numpy refuses, with a ValueError, an array of more than INT64_MAX bytes.
+        cells = self.periods * (self.topology.member_count + 2)
+        if cells * 8 > INT64_MAX:
+            raise ConfigError(f"periods {self.periods} need {cells} history cells, too many")
 
 
-def generate(
-    config: SynthConfig, seed: int
-) -> tuple[
-    list[tuple[int, int, tuple[int, ...]]],
-    list[tuple[int, tuple[int, ...]]],
-    list[tuple[int, int, int]],
-]:
-    """Rows for the three tables, directly loadable via from_records.
+def generate(config: SynthConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three tables as int64 matrices ``(history, lead, raw)``, in the
+    column order of the :class:`~stockswarm.history.HistoryStore`
+    constructor, which takes them as they are.
 
     Every period gets one history row and one lead-time row (TIDs 1..n);
-    every product id 1..products gets 2 to 5 raw materials.
+    every product id 1..products gets 2 to 5 raw materials.  One call draws
+    every period's product and levels, from per-column bounds broadcast over
+    the periods, and one call draws every link time.  The generator draws
+    array elements in order and keeps its spare 32 bits across calls, so the
+    values equal those of one call per period.
     """
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    l = config.topology.member_count
-    history = []
-    for tid in range(1, config.periods + 1):
-        pid = int(rng.integers(1, config.products + 1))
-        levels = tuple(
-            int(v) for v in rng.integers(config.stock_lb, config.stock_ub + 1, size=l)
-        )
-        history.append((tid, pid, levels))
-    leads = []
-    for tid in range(1, config.periods + 1):
-        times = tuple(
-            int(v)
-            for v in rng.integers(config.link_time_lb, config.link_time_ub + 1, size=l - 1)
-        )
-        leads.append((tid, times))
-    raws = []
-    for pid in range(1, config.products + 1):
-        count = int(rng.integers(2, _MAX_RAW_MATERIALS + 1))
-        for rm in range(1, count + 1):
-            time = int(rng.integers(config.raw_time_lb, config.raw_time_ub + 1))
-            raws.append((pid, rm, time))
-    return history, leads, raws
+    n, l = config.periods, config.topology.member_count
+    low = np.array([1] + [config.stock_lb] * l, dtype=np.int64)
+    high = np.array([config.products] + [config.stock_ub] * l, dtype=np.int64)
+    drawn = rng.integers(low, high, size=(n, l + 1), endpoint=True)
+    times = rng.integers(config.link_time_lb, config.link_time_ub, size=(n, l - 1), endpoint=True)
+    tids = np.arange(1, n + 1, dtype=np.int64)[:, None]
+    raw = []
+    for pid in range(1, config.products + 1):  # each count decides the next draws
+        count = int(rng.integers(2, _MAX_RAW_MATERIALS, endpoint=True))
+        raw_times = rng.integers(config.raw_time_lb, config.raw_time_ub, size=count, endpoint=True)
+        raw.append(np.column_stack([np.full(count, pid), np.arange(1, count + 1), raw_times]))
+    return np.hstack([tids, drawn]), np.hstack([tids, times]), np.concatenate(raw)
 
 
 def write_fixtures(config: SynthConfig, seed: int, out_dir: str | Path) -> dict[str, Path]:
     """Generate and write the three CSV files; returns their paths."""
-    history, leads, raws = generate(config, seed)
+    tables = generate(config, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -112,12 +109,8 @@ def write_fixtures(config: SynthConfig, seed: int, out_dir: str | Path) -> dict[
         "stock_lead": out / "stock_lead_times.csv",
         "raw_lead": out / "raw_material_lead_times.csv",
     }
-    tables = (
-        [(tid, pid, *levels) for tid, pid, levels in history],
-        [(tid, *times) for tid, times in leads],
-        raws,
-    )
-    for path, header, rows in zip(paths.values(), _headers(config.topology.member_count), tables):
-        lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for path, header, table in zip(paths.values(), _headers(config.topology.member_count), tables):
+        row = ",".join(["%d"] * table.shape[1]) + "\n"
+        body = row * len(table) % tuple(table.ravel().tolist())
+        path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
     return paths

@@ -125,8 +125,7 @@ def _random_store(rng, topology):
         raw_time_ub=int(rng.integers(2, 30)),
     )
     seed = int(rng.integers(0, 2**32))
-    history, leads, raws = ss.generate(synth_cfg, seed)
-    return ss.HistoryStore.from_records(topology, history, leads, raws), synth_cfg
+    return ss.HistoryStore(topology, *ss.generate(synth_cfg, seed)), synth_cfg
 
 
 def _random_pso_config(rng, synth_cfg):

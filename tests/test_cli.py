@@ -441,6 +441,15 @@ PINNED_OUTPUTS = {
         "raw_material_lead_times.csv": "7eadf8f29fbc7e8cd14cab41a316500a49f2396ceb2f861148472944c97a6f03",
         "manifest.json": "428e416ab9a07efd639b7b7de651451ca4efe330c78936912e6ee3837cf7d5ad",
     },
+    # 50-period tables at the int64 stock limits, where every level takes
+    # numpy's 64-bit draw path; computed before the array draws replaced
+    # the per-period loop.
+    "synth-int64-limits": {
+        "stock_history.csv": "9660c3a5ad1dcfadf5b9519fba1a69b98c9bcb6db62c46ae7534ad8a7effebe7",
+        "stock_lead_times.csv": "903b352ba0ecfcfae729879b75ffaba0a291a53892a962955e3998e0da6c3f0b",
+        "raw_material_lead_times.csv": "8846748cf1e38dd17babebcb501f8c00ac745754acc45874b34f605be1ea951b",
+        "manifest.json": "bc69a79be1512f77fb389db17da877e5dceecc87f44535ef7efdd49db8d5e0b7",
+    },
     "validate": {"stdout": "35a74ff5bab5422544e30c8de22801b9f99811749a40863afc19fdc0c9bf289f"},
 }
 
@@ -458,6 +467,9 @@ def test_fixture_output_bytes_pinned(tmp_path, monkeypatch, capsys, job):
         argv += ["--config", "zero.conf"]
     elif job == "synth":
         argv += ["--periods", "50"]
+    elif job == "synth-int64-limits":
+        (tmp_path / "int64.conf").write_text(f"stock_lb = {-(2**63)}\nstock_ub = {2**63 - 1}\n")
+        argv += ["--config", "int64.conf", "--periods", "50"]
     elif job == "optimize-synth-2000":
         assert main(["synth", "--periods", "2000", "--seed", "1", "--out", "gen"]) == 0
         for flag, name in zip(("--history", "--stock-lead", "--raw-lead"), SYNTH_TABLES):
@@ -545,6 +557,16 @@ class TestSynthCommand:
         ):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, capsys):
+        def exhausted(config, seed, out_dir):
+            raise MemoryError
+
+        monkeypatch.setattr("stockswarm.cli.write_fixtures", exhausted)
+        out = tmp_path / "o"
+        assert main(["synth", "--periods", "30", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: 30 periods and 5 products do not fit in memory\n"
+        assert not out.exists()
+
     def test_unwritable_out_dir_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -565,10 +587,14 @@ class TestSynthCommand:
              f"6 draws of link_time_ub {2**62} can sum past the int64 range"),
             ("", ["--raw-time-ub", str(2**62)],
              f"5 draws of raw_time_ub {2**62} can sum past the int64 range"),
+            ("", ["--periods", str(2**63)], f"periods {2**63} is outside the int64 range"),
+            ("", ["--periods", str(2**60)],
+             f"periods {2**60} need {9 * 2**60} history cells, too many"),
         ],
         ids=[
             "stock_lb-abc", "seed-negative", "stock_ub-1e20", "raw_time_ub-1e20",
-            "link-sum-past-int64", "raw-sum-past-int64",
+            "link-sum-past-int64", "raw-sum-past-int64", "periods-past-int64",
+            "periods-past-numpy-size",
         ],
     )
     def test_bad_setting_exit_3(self, tmp_path, capsys, setting, flags, message):

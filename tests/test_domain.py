@@ -50,6 +50,8 @@ class TestTopology:
             (None, (), "dc_count"),
             (2, (2.7, "2"), "agents_per_dc entry"),  # once read as (2, 2)
             (1, ("x",), "agents_per_dc entry"),
+            (1, 2, "agents_per_dc"),  # once a TypeError: not iterable
+            (1, None, "agents_per_dc"),
         ],
     )
     def test_rejects_non_integer_sizes(self, dc_count, agents, field):

@@ -1,9 +1,41 @@
 """Synthetic fixture generation: schema validity and determinism."""
 
+import numpy as np
 import pytest
 
 import stockswarm as ss
+from stockswarm.domain import INT64_MAX, INT64_MIN
 from stockswarm.errors import ConfigError
+from stockswarm.synth import _MAX_RAW_MATERIALS
+
+
+def reference_generate(config, seed):
+    """The draw order of ``generate`` as one call per period: per period the
+    product then the levels, then per period the link times, then per
+    product the raw-material count and its times one by one."""
+    rng = np.random.default_rng(seed)
+    l = config.topology.member_count
+    history = []
+    for tid in range(1, config.periods + 1):
+        pid = int(rng.integers(1, config.products + 1))
+        levels = tuple(
+            int(v) for v in rng.integers(config.stock_lb, config.stock_ub + 1, size=l)
+        )
+        history.append((tid, pid, levels))
+    leads = []
+    for tid in range(1, config.periods + 1):
+        times = tuple(
+            int(v)
+            for v in rng.integers(config.link_time_lb, config.link_time_ub + 1, size=l - 1)
+        )
+        leads.append((tid, times))
+    raws = []
+    for pid in range(1, config.products + 1):
+        count = int(rng.integers(2, _MAX_RAW_MATERIALS + 1))
+        for rm in range(1, count + 1):
+            time = int(rng.integers(config.raw_time_lb, config.raw_time_ub + 1))
+            raws.append((pid, rm, time))
+    return history, leads, raws
 
 
 class TestGenerate:
@@ -12,9 +44,9 @@ class TestGenerate:
         history, leads, raws = ss.generate(cfg, seed=1)
         assert len(history) == 40
         assert len(leads) == 40
-        assert [t for t, _, _ in history] == list(range(1, 41))
-        assert [t for t, _ in leads] == list(range(1, 41))
-        raw_products = {p for p, _, _ in raws}
+        assert history[:, 0].tolist() == list(range(1, 41))
+        assert leads[:, 0].tolist() == list(range(1, 41))
+        raw_products = set(raws[:, 0].tolist())
         assert raw_products == set(range(1, 7))
 
     def test_two_to_five_raw_materials_each(self):
@@ -37,23 +69,21 @@ class TestGenerate:
             raw_time_ub=2,
         )
         history, leads, raws = ss.generate(cfg, seed=5)
-        for _, pid, levels in history:
-            assert 1 <= pid <= 3
-            assert all(-12 <= v <= 9 for v in levels)
-        for _, times in leads:
-            assert all(2 <= t <= 4 for t in times)
-        for _, _, t in raws:
-            assert 1 <= t <= 2
+        assert ((1 <= history[:, 1]) & (history[:, 1] <= 3)).all()
+        assert ((-12 <= history[:, 2:]) & (history[:, 2:] <= 9)).all()
+        assert ((2 <= leads[:, 1:]) & (leads[:, 1:] <= 4)).all()
+        assert ((1 <= raws[:, 2]) & (raws[:, 2] <= 2)).all()
 
     def test_deterministic_per_seed(self):
         cfg = ss.SynthConfig()
-        assert ss.generate(cfg, seed=7) == ss.generate(cfg, seed=7)
-        assert ss.generate(cfg, seed=7) != ss.generate(cfg, seed=8)
+        tables = [[t.tolist() for t in ss.generate(cfg, seed)] for seed in (7, 7, 8)]
+        assert tables[0] == tables[1]
+        assert tables[0] != tables[2]
 
     def test_loadable_via_from_records(self):
+        # The tables are the constructor's matrices, which from_records builds.
         cfg = ss.SynthConfig(periods=25, products=4)
-        history, leads, raws = ss.generate(cfg, seed=3)
-        store = ss.HistoryStore.from_records(cfg.topology, history, leads, raws)
+        store = ss.HistoryStore(cfg.topology, *ss.generate(cfg, seed=3))
         assert store.total_periods == 25
         assert set(store.products) <= set(range(1, 5))
 
@@ -80,11 +110,58 @@ class TestGenerate:
             ("link_time_lb", None),
             ("raw_time_lb", 6.0),
             ("raw_time_ub", 35.5),
+            ("topology", None),  # once an AttributeError
         ],
     )
     def test_rejects_non_integer_field(self, field, value):
-        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        kind = "a Topology" if field == "topology" else "an integer"
+        with pytest.raises(ConfigError, match=f"^{field} must be {kind}"):
             ss.SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])  # once a TypeError from SeedSequence
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be an integer"):
+            ss.generate(ss.SynthConfig(), seed)
+
+    def test_periods_within_int64_and_numpy_sizes(self):
+        with pytest.raises(ConfigError, match=f"^periods {2**63} is outside the int64 range"):
+            ss.SynthConfig(periods=2**63)
+        # numpy allocates at most INT64_MAX bytes; a history row is 8 bytes
+        # for each of TID, PI and the l members.
+        for topology in (ss.Topology(), ss.Topology(dc_count=0, agents_per_dc=())):
+            width = topology.member_count + 2
+            most = INT64_MAX // (8 * width)
+            assert ss.SynthConfig(periods=most, topology=topology).periods == most
+            message = f"^periods {most + 1} need {(most + 1) * width} history cells"
+            with pytest.raises(ConfigError, match=message):
+                ss.SynthConfig(periods=most + 1, topology=topology)
+
+    @pytest.mark.parametrize(
+        "stock_lb, stock_ub",
+        [
+            (-1000, 1000),
+            (-(2**31), 2**31),
+            (-(2**40), 2**40),
+            (INT64_MIN, INT64_MAX),
+            (0, 2**32 - 1),
+            (0, 2**32),
+            (5, 5),
+        ],
+    )
+    @pytest.mark.parametrize("members", [7, 1])
+    def test_draws_match_one_call_per_period(self, stock_lb, stock_ub, members):
+        topology = ss.Topology() if members == 7 else ss.Topology(dc_count=0, agents_per_dc=())
+        for periods in (1, 50, 2000):
+            cfg = ss.SynthConfig(
+                periods=periods, topology=topology, stock_lb=stock_lb, stock_ub=stock_ub
+            )
+            for seed in (0, 1, 3):
+                history, leads, raws = ss.generate(cfg, seed)
+                want_history, want_leads, want_raws = reference_generate(cfg, seed)
+                assert history.dtype == leads.dtype == raws.dtype == np.int64
+                assert history.tolist() == [[t, p, *lv] for t, p, lv in want_history]
+                assert leads.tolist() == [[t, *lt] for t, lt in want_leads]
+                assert raws.tolist() == [list(row) for row in want_raws]
 
 
 class TestWriteFixtures:
