@@ -6,10 +6,10 @@ predicted excess).  Fitness of a position is
 
     f = w1 * (1 - P(occ) / T) + log(w2 * t_stock + w3 * t_raw)
 
-where P(occ) and the matched TIDs come from a box query against the history
-store on the rounded position, t_stock sums per-link transport days over the
-matched TIDs, t_raw sums the product's raw-material supply days, and the
-weights derive from the three priority values.  Lower is better.
+where P(occ), the number of matched records, and t_stock, their summed
+per-link transport days, come from a box query against the history store on
+the rounded position; t_raw sums the product's raw-material supply days, and
+the weights derive from the three priority values.  Lower is better.
 
 The search is plain gbest PSO: linearly decaying inertia, two acceleration
 terms, velocity and position clamping.  All randomness flows through one
@@ -43,7 +43,6 @@ from .errors import (
     DimensionMismatch,
     LogDomainError,
     MissingRawMaterial,
-    ParseError,
 )
 from .history import HistoryStore
 
@@ -192,14 +191,7 @@ class FitnessEvaluator:
         self._log = np.log if config.log_base == "natural" else np.log10
         self._total = store.total_periods
         self._dim = dimension(store.topology)
-        # t_stock is summed in int64, and a product's largest t_stock is the
-        # exact total over all of its records.
-        for pid in store.products:
-            total = sum(store.product_rows(pid)[2].tolist())  # Python ints, so exact
-            if total > INT64_MAX:
-                raise ParseError(
-                    f"stock lead times of product {pid} sum to {total}, past the int64 range"
-                )
+        store._check_lead_time_totals()
 
     @property
     def weights(self) -> Weights:

@@ -118,25 +118,17 @@ class HistoryStore:
     def _build_index(self, history: np.ndarray, lead_sums: np.ndarray) -> None:
         """The flat index: every product's distinct level rows end to end.
 
-        Records are grouped by product in TID order, with per-record
-        lead-time sums, and ``_record_starts`` opens each product's group.
-        Each group is sorted on its own by ``(PI, F1..Fl)`` numeric keys, so
-        the blocks of distinct rows follow each other in key order and
-        member 1 ascends inside a block.  Each distinct row has its key, a
-        record count and a summed lead time; each record knows its row.
-        This one key order answers every query: an exact key at radius 0,
-        and otherwise a member-1 window between two keys.
+        One stable argsort of the records' ``(PI, F1..Fl)`` numeric keys
+        orders them: PI leads the key, so each product's distinct rows form
+        a block, member 1 ascends inside a block, and equal keys keep TID
+        order.  Each distinct row has its key, a record count and a summed
+        lead time; each record, in TID order, knows its row.  This one key
+        order answers every query: an exact key at radius 0, and otherwise a
+        member-1 window between two keys.
         """
         n = len(history)
-        by_product = np.argsort(history[:, 1], kind="stable")
-        grouped = history.take(by_product, axis=0)
-        self._products, record_starts = np.unique(grouped[:, 1], return_index=True)
-        self._record_starts = np.append(record_starts, n)
-        self._tids, self._levels = grouped[:, 0], grouped[:, 2:]
-        self._lead_sums = lead_sums.take(by_product)
-        keys = _numeric_keys(grouped[:, 1:])
-        bounds = zip(record_starts, self._record_starts[1:])
-        order = np.concatenate([a + np.argsort(keys[a:b], kind="stable") for a, b in bounds])
+        keys = _numeric_keys(history[:, 1:])
+        order = np.argsort(keys, kind="stable")
         keys = keys.take(order)
         words = keys.view(np.uint64).reshape(n, -1)  # PI, F1..Fl as big-endian words
         opens = np.ones(n, dtype=bool)  # where a new distinct row starts
@@ -146,12 +138,16 @@ class HistoryStore:
         del keys, words  # a key per record, the build's largest temporary
         self._record_row = np.empty(n, dtype=np.int64)
         self._record_row[order] = np.cumsum(opens) - 1
-        self._row_starts = np.searchsorted(first, self._record_starts)
+        self._lead_sums = lead_sums.take(order)  # per record, in key order
         self._counts = np.diff(np.append(first, n))
-        self._sums = np.add.reduceat(self._lead_sums.take(order), first)
-        self._rows = np.empty((len(first), self._levels.shape[1]), dtype=np.int64, order="F")
+        self._sums = np.add.reduceat(self._lead_sums, first)
         record = order[first]  # a record of each distinct row
-        for source, column in zip(self._levels.T, self._rows.T):  # member columns contiguous
+        row_pids = history[:, 1].take(record)
+        block = np.append(True, row_pids[1:] != row_pids[:-1])  # where a product's block starts
+        self._products = row_pids[block]
+        self._row_starts = np.append(np.flatnonzero(block), len(first))
+        self._rows = np.empty((len(first), history.shape[1] - 2), dtype=np.int64, order="F")
+        for source, column in zip(history[:, 2:].T, self._rows.T):  # member columns contiguous
             source.take(record, out=column)
         for array in vars(self).values():
             if isinstance(array, np.ndarray):
@@ -221,32 +217,24 @@ class HistoryStore:
         """Product ids that occur in the history, ascending."""
         return tuple(self._products.tolist())
 
-    def _spans(self, product_id: int) -> tuple[slice, slice] | None:
-        """A product's records and its block of distinct rows, or None when
-        it has no records.  An id that is not an int64 integer raises
-        ConfigError."""
+    def _distinct_rows(self, product_id: int) -> np.ndarray:
+        """Read-only (rows, members) matrix of one product's distinct level
+        rows in lexicographic order; no rows when it has no records.  An id
+        that is not an int64 integer raises ConfigError."""
         product_id = _int64_array(product_id, ConfigError, "product id")
         at = int(np.searchsorted(self._products, product_id))
         if at == len(self._products) or self._products[at] != product_id:
-            return None
-        return slice(*self._record_starts[at : at + 2]), slice(*self._row_starts[at : at + 2])
+            return self._rows[:0]
+        return self._rows[self._row_starts[at] : self._row_starts[at + 1]]
 
-    def product_rows(
-        self, product_id: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Read-only TIDs, (rows, members) level matrix and per-row lead-time
-        sums of one product's records in ascending TID order, or None when it
-        has no records."""
-        spans = self._spans(product_id)
-        if spans is None:
-            return None
-        return self._tids[spans[0]], self._levels[spans[0]], self._lead_sums[spans[0]]
-
-    def _distinct_rows(self, product_id: int) -> np.ndarray:
-        """Read-only (rows, members) matrix of one product's distinct level
-        rows in lexicographic order; no rows when it has no records."""
-        spans = self._spans(product_id)
-        return self._rows[:0] if spans is None else self._rows[spans[1]]
+    def _check_lead_time_totals(self) -> None:
+        """Raise ParseError when the lead times of one product's records sum
+        past int64, naming the lowest such product.  A match sums t_stock in
+        int64, and a product's largest t_stock is that total."""
+        record_starts = (np.cumsum(self._counts) - self._counts)[self._row_starts[:-1]]
+        _int64_sums(
+            self._lead_sums[:, None], self._products, "stock lead times of product {}", record_starts
+        )
 
     def match_counts(
         self, product_ids, queries: np.ndarray, radius: int
@@ -292,13 +280,10 @@ class HistoryStore:
                 f"query has {query.size} stock entries, expected {self._topology.member_count}"
             )
         pids = self._checked(product_id, query[None, :], radius)
-        spans = self._spans(pids[0])
-        if spans is None:
-            return self._tids[:0].copy()
         hit = np.zeros(len(self._rows), dtype=bool)
         for _, row in self._window_hits(pids, query[None, :], radius):
-            hit[row] = True
-        return self._tids[spans[0]][hit[self._record_row[spans[0]]]]
+            hit[row] = True  # rows of the queried product's block only
+        return self._history[hit[self._record_row], 0]
 
     def raw_lead_time_total(self, product_id: int) -> int:
         """Sum of raw-material supply days for one product."""

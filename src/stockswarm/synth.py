@@ -21,6 +21,8 @@ from .history import _headers
 __all__ = ["SynthConfig", "generate", "write_fixtures"]
 
 _MAX_RAW_MATERIALS = 5  # per product; each gets 2 to this many
+# Table rows formatted at once; formatting makes Python ints of every cell.
+_WRITE_ROWS = 2**12
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,9 @@ def write_fixtures(config: SynthConfig, seed: int, out_dir: str | Path) -> dict[
     }
     for path, header, table in zip(paths.values(), _headers(config.topology.member_count), tables):
         row = ",".join(["%d"] * table.shape[1]) + "\n"
-        body = row * len(table) % tuple(table.ravel().tolist())
-        path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as file:
+            file.write(",".join(header) + "\n")
+            for start in range(0, len(table), _WRITE_ROWS):
+                block = table[start : start + _WRITE_ROWS]
+                file.write(row * len(block) % tuple(block.ravel().tolist()))
     return paths

@@ -167,8 +167,24 @@ class TestEvaluate:
         ss.FitnessEvaluator(ss.HistoryStore.from_records(topology, history, fits, raws), cfg)
         wraps = [(1, (2**62, 2**62 - 1)), (2, (0, 1)), (3, (0, 0))]
         store = ss.HistoryStore.from_records(topology, history, wraps, raws)
-        with pytest.raises(ParseError, match="int64"):
+        with pytest.raises(
+            ParseError, match=f"^stock lead times of product 1 sum to {2**63}, past the int64 range$"
+        ):
             ss.FitnessEvaluator(store, cfg)
+
+    def test_lead_time_totals_name_the_lowest_product_past_int64(self, tiny_rows):
+        # both products pass int64, product 2 by more and with the first TID;
+        # their records interleave in TID order and all share one level row
+        topology, _, _, raws = tiny_rows
+        history = [(1, 2, (0, 0, 0)), (2, 1, (0, 0, 0)), (3, 2, (0, 0, 0)), (4, 1, (0, 0, 0))]
+        full = (2**62, 2**62 - 1)  # INT64_MAX days
+        leads = [(1, full), (2, full), (3, full), (4, (2**62, 7))]
+        store = ss.HistoryStore.from_records(topology, history, leads, raws)
+        total = 2**63 - 1 + 2**62 + 7
+        with pytest.raises(
+            ParseError, match=f"^stock lead times of product 1 sum to {total}, past the int64 range$"
+        ):
+            ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=0))
 
     def test_log_domain_error(self, tiny_rows):
         # zero link times and r3 = 0 drive the log argument to zero on a miss

@@ -265,9 +265,7 @@ class TestLeadTimeQueries:
 
     def test_sums_match_independent_parse(self, store, raw_tables):
         link_days = {row[0]: sum(row[1:]) for row in raw_tables[1][1]}
-        for pid in store.products:
-            tids, _, sums = store.product_rows(pid)
-            assert sums.tolist() == [link_days[t] for t in tids.tolist()]
+        assert {t: sum(lt) for t, *lt in store.lead.tolist()} == link_days
         for _, pid, *levels in raw_tables[0][1]:
             same = [row[0] for row in raw_tables[0][1] if row[1] == pid and row[2:] == levels]
             occ, t_stock = store.match_counts(pid, np.array([levels]), 0)
@@ -282,7 +280,7 @@ class TestLeadTimeQueries:
         # t_stock of a query is the sum of its matched records' link days
         link_days = {t: sum(lt) for t, *lt in store.lead.tolist()}
         for pid, radius in itertools.product(store.products, [0, 50, 400, 10**6]):
-            levels = store.product_rows(pid)[1]
+            levels = store.history[store.history[:, 1] == pid, 2:]
             occ, t_stock = store.match_counts(pid, levels, radius)
             for row, n, total in zip(levels, occ.tolist(), t_stock.tolist()):
                 tids = store.match_individual(pid, row, radius).tolist()
@@ -330,10 +328,9 @@ def assert_same_store(a, b):
     assert a.lead_records == b.lead_records
     assert a.raw_records == b.raw_records
     assert a.products == b.products
-    for pid in a.products:
-        for x, y in zip(a.product_rows(pid), b.product_rows(pid)):
-            assert x.dtype == y.dtype == np.int64
-            assert np.array_equal(x, y)
+    for x, y in ((a.history, b.history), (a.lead, b.lead), (a.raw, b.raw)):
+        assert x.dtype == y.dtype == np.int64
+        assert np.array_equal(x, y)
     for pid in {r.product_id for r in a.raw_records}:
         assert a.raw_lead_time_total(pid) == b.raw_lead_time_total(pid)
 
@@ -417,9 +414,22 @@ class TestOneConstructor:
         assert [(r.tid, r.link_times) for r in built.lead_records] == sorted(leads)
         assert [(r.product_id, r.raw_material_id, r.time) for r in built.raw_records] == sorted(raws)
         assert {t: sum(lt) for t, *lt in built.lead.tolist()} == lead_sums
+        # every record of a product lies within radius 2**64 of any query;
+        # the guard names the lowest product whose total passes int64
+        past = []
         for pid in built.products:
-            tids, _, sums = built.product_rows(pid)
-            assert sums.tolist() == [lead_sums[t] for t in tids.tolist()]
+            sums = [lead_sums[t] for t, p, _ in history if p == pid]
+            if sum(sums) > INT64_MAX:
+                past.append((pid, sum(sums)))
+                continue
+            occ, t_stock = built.match_counts(pid, np.zeros((1, 3), dtype=np.int64), 2**64)
+            assert (occ.tolist(), t_stock.tolist()) == ([len(sums)], [sum(sums)])
+        if past:
+            message = f"^stock lead times of product {past[0][0]} sum to {past[0][1]}, past"
+            with pytest.raises(ParseError, match=message):
+                built._check_lead_time_totals()
+        else:
+            built._check_lead_time_totals()
         for pid, total in raw_totals.items():
             assert built.raw_lead_time_total(pid) == total
 
@@ -443,7 +453,7 @@ class TestOneConstructor:
                 "past the int64 range",
             )
         else:
-            assert result.product_rows(1)[2].tolist() == [sum(lt) for _, lt in leads]
+            assert result.lead.tolist() == [[tid, *lt] for tid, lt in leads]
             # every record has level row 0, so one radius-0 query matches them all
             total = sum(map(sum, cells))
             if total > INT64_MAX:

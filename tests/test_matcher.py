@@ -278,6 +278,22 @@ class TestAgainstReference:
         assert hexes(evaluator.evaluate_batch(np.array([position]))) == hexes(want)
 
     @pytest.mark.parametrize(
+        "radius, want",
+        [(0, {1: [2], 2: [1, 3], 3: [5], 4: []}), (1, {1: [2, 4], 2: [1, 3], 3: [5], 4: []})],
+    )
+    def test_products_sharing_a_level_row_match_apart(self, radius, want):
+        # products 1, 2 and 3 all record levels (5, 5, 5), in interleaved
+        # TIDs; product 4 has no records
+        rows = [(1, 2, (5, 5, 5)), (2, 1, (5, 5, 5)), (3, 2, (5, 5, 5)), (4, 1, (6, 5, 5)), (5, 3, (5, 5, 5))]
+        leads = [(tid, (tid, 10 * tid)) for tid in range(1, 6)]
+        store = ss.HistoryStore.from_records(SMALL_TOPOLOGY, rows, leads, [(p, 1, 1) for p in (1, 2, 3)])
+        for pid, tids in want.items():
+            assert store.match_individual(pid, (5, 5, 5), radius).tolist() == tids
+        occ, t_stock = store.match_counts(list(want), np.full((len(want), 3), 5), radius)
+        assert occ.tolist() == [len(tids) for tids in want.values()]
+        assert t_stock.tolist() == [11 * sum(tids) for tids in want.values()]
+
+    @pytest.mark.parametrize(
         "batch",
         [
             [[3, 1, 2]],
@@ -384,8 +400,9 @@ class TestQueriesOutsideInt64:
             with pytest.raises(ConfigError, match="int64"):
                 store.match_individual(pid, levels[0], radius)
             with pytest.raises(ConfigError, match="int64"):
-                store.product_rows(pid)
-        assert store.product_rows(3.0)[0].tolist() == store.product_rows(3)[0].tolist()
+                store._distinct_rows(pid)
+        assert store.match_individual(3.0, levels[0], radius).tolist() == [1]
+        assert np.array_equal(store._distinct_rows(3.0), store._distinct_rows(3))
 
     def test_match_counts_accepts_integral_floats(self, store):
         occ, t_stock = store.match_counts(3, np.array([[632.0, 424, 247, -298, -115, 365, 961]]), 0)
@@ -482,7 +499,7 @@ class TestFarLevels:
     @pytest.mark.parametrize("radius", [2**64 - 1, 2**64, 10**30])
     def test_radius_past_int64_matches_every_record(self, store, radius):
         for pid in store.products:
-            tids = store.product_rows(pid)[0].tolist()
+            tids = store.history[store.history[:, 1] == pid, 0].tolist()
             for query in ([0] * 7, [-(2**63)] * 7, [2**63 - 1] * 7):
                 assert store.match_individual(pid, query, radius).tolist() == tids
 
@@ -539,6 +556,13 @@ class TestNumericKeys:
         assert np.array_equal(store._rows, distinct[:, 1:])
         assert store._rows.flags.f_contiguous  # the box test reads one member at a time
         assert np.array_equal(store._keys, history._numeric_keys(distinct))
+        # each record, in TID order, knows its distinct row, and each
+        # product's block holds that product's rows
+        assert np.array_equal(store._keys[store._record_row], history._numeric_keys(store.history[:, 1:]))
+        assert store._counts.tolist() == np.bincount(store._record_row).tolist()
+        for pid in (1, 2, 3, 2**63 - 1):
+            want = [row[1:] for row in distinct.tolist() if row[0] == pid]
+            assert store._distinct_rows(pid).tolist() == want
         # the two key searches find each query's product rows with member 1
         # in [q1 - radius, q1 + radius], in key order; some windows end on
         # the member 1 of a row, whose members 2 and 3 are often at the
