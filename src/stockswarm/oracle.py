@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import INT64_MAX, INT64_MIN
 from .engine import FitnessEvaluator, PsoConfig, _check_log_domain
 from .history import HistoryStore
 
@@ -56,18 +57,24 @@ def empty_match_candidate(
     filler = min(max(0, lb), ub)
     if len(rows) == 0:
         return (product_id,) + (filler,) * l
+    near = max(lb - radius, INT64_MIN), min(ub + radius, INT64_MAX)  # recorded values near the box
     for dim in range(l):
-        values = np.unique(rows[:, dim]).tolist()  # Python ints: gaps never wrap
-        values = [v for v in values if lb - radius <= v <= ub + radius]  # those near the box
+        if dim == 0:  # member 1 ascends in the distinct rows
+            column = rows[:, 0]
+            values = column[np.append(True, column[1:] != column[:-1])]
+        else:
+            values = np.unique(rows[:, dim])
+        values = values[np.searchsorted(values, near[0]) : np.searchsorted(values, near[1], "right")]
         chosen: int | None = None
-        if not values or values[0] - lb > radius:
+        if not len(values) or int(values[0]) - lb > radius:
             chosen = lb
         else:
-            for a, b in zip(values, values[1:]):
-                if b - a > 2 * radius + 1:
-                    chosen = a + radius + 1
-                    break
-            if chosen is None and ub - values[-1] > radius:
+            # the values ascend, so no difference wraps in uint64
+            gaps = np.diff(values.view(np.uint64))
+            wide = np.flatnonzero(gaps > np.uint64(min(2 * radius + 1, 2**64 - 1)))
+            if wide.size:
+                chosen = int(values[wide[0]]) + radius + 1
+            elif ub - int(values[-1]) > radius:
                 chosen = ub
         if chosen is not None:
             levels = [filler] * l

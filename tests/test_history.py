@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import stockswarm as ss
 from stockswarm.errors import (
@@ -17,7 +17,8 @@ from stockswarm.errors import (
     MissingRawMaterial,
     ParseError,
 )
-from stockswarm.history import _headers, _parse_lines, _read_table
+from stockswarm import history
+from stockswarm.history import _headers, _parse_lines, _read_table, _table
 
 
 def brute_force_match(history_rows, product_id, levels, radius):
@@ -393,6 +394,43 @@ MINIMUM_DEFECTS = {
 }
 
 
+def lexsorted_table(matrix, keys):
+    """A table sorted by its first ``keys`` columns with ``np.lexsort``, and
+    its first repeated key, or None."""
+    matrix = matrix[np.lexsort(matrix[:, keys - 1 :: -1].T)]
+    repeats = [i for i in range(1, len(matrix)) if (matrix[i, :keys] == matrix[i - 1, :keys]).all()]
+    return matrix, (matrix[repeats[0], :keys].tolist() if repeats else None)
+
+
+class TestTableOrder:
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from([1, 2, 2**62, INT64_MAX]) | st.integers(1, 9), st.integers(1, 3),
+                      st.integers(0, 5) | st.just(INT64_MAX)),
+            max_size=30,
+        ),
+        keys=st.sampled_from([1, 2]),
+        order=st.sampled_from(["unsorted", "sorted", "duplicated"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_and_first_repeat_match_lexsort(self, rows, keys, order):
+        matrix = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        if order == "sorted":
+            matrix = lexsorted_table(matrix, keys)[0]
+        elif order == "duplicated":
+            matrix = np.concatenate([matrix, matrix[::2]])
+        want = lexsorted_table(matrix, keys)
+        for read_only in (False, True):
+            given_matrix = matrix.copy()
+            given_matrix.flags.writeable = not read_only
+            got, repeat = _table(given_matrix, ["PI", "RM", "T"], keys, "raw-material", [1, 1, 0])
+            assert got.tolist() == want[0].tolist() and repeat == want[1]
+            # a caller's writable matrix is never held; a read-only one in
+            # key order is held as it is
+            in_order = got.tolist() == matrix.tolist()
+            assert np.shares_memory(got, given_matrix) == (read_only and in_order and len(matrix) > 0)
+
+
 class TestOneConstructor:
     @given(tables=valid_tables())
     @settings(max_examples=80, deadline=None)
@@ -609,6 +647,7 @@ class TestOneConstructor:
 # padding character is one that str.strip() removes; every line break one
 # that str.splitlines() splits on.
 PADDING = " \t\xa0\u3000\x1f"
+ASCII_PADDING = " \t\x1f"
 LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r\n"
 SCRIPTS = [str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"),
            str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")]
@@ -623,10 +662,10 @@ DEFECTS = (
 
 
 @st.composite
-def csv_cells(draw, odd):
+def csv_cells(draw, odd, padding=PADDING):
     """One cell: a signed int64 integer, often at the int64 limits, with
-    leading zeros and padding.  An odd cell may be written in full-width or
-    Arabic-Indic digits or with ``_`` between digits, which ``int()``
+    leading zeros and ``padding``.  An odd cell may be written in full-width
+    or Arabic-Indic digits or with ``_`` between digits, which ``int()``
     accepts and loadtxt does not."""
     value = draw(st.one_of(st.integers(-20, 20), st.sampled_from(LIMITS), st.integers(-(2**63), INT64_MAX)))
     digits = "0" * draw(st.integers(0, 2)) + str(abs(value))
@@ -635,7 +674,7 @@ def csv_cells(draw, odd):
         digits = digits[:at] + "_" + digits[at:]
     if odd and draw(st.integers(0, 3)) == 0:
         digits = digits.translate(draw(st.sampled_from(SCRIPTS)))
-    padding = st.text(st.sampled_from(PADDING), max_size=2)
+    padding = st.text(st.sampled_from(padding), max_size=2)
     sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
     return draw(padding) + sign + digits + draw(padding)
 
@@ -644,8 +683,18 @@ def csv_cells(draw, odd):
 def csv_texts(draw):
     """A raw-material table: its header, then rows of three cells, each
     after a line end: LF, CRLF or blank lines, and in an odd or wild table
-    also the other line breaks.  A wild table has one defect."""
-    mode = draw(st.sampled_from(["plain", "odd", "wild"]))
+    also the other line breaks.  A wild table has one defect.  An LF table
+    is ASCII with LF line ends only, the kind parsed from its bytes: it may
+    open with blank lines or a UTF-8 byte order mark, pad its lines with
+    ASCII whitespace, hold whitespace-only lines and hold no records."""
+    mode = draw(st.sampled_from(["lf", "plain", "odd", "wild"]))
+    if mode == "lf":
+        cells = csv_cells(False, ASCII_PADDING)
+        rows = draw(st.lists(st.lists(cells, min_size=3, max_size=3), max_size=4))
+        text = draw(st.sampled_from(["", "", "\ufeff", "\n", " \n\n"])) + "PI,RM,T"
+        for row in rows:
+            text += draw(st.sampled_from(["\n", "\n", "\n\n", "\n \n", "\n\t\x1f\n"])) + ",".join(row)
+        return text + draw(st.sampled_from(["", "\n", "\n\n"]))
     cells = csv_cells(mode != "plain")
     rows = draw(st.lists(st.lists(cells, min_size=3, max_size=3), min_size=1, max_size=4))
     if mode == "wild":
@@ -680,21 +729,54 @@ class TestParsePaths:
     """One np.loadtxt call per table, and the per-line parse it falls back to."""
 
     @given(text=csv_texts())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_one_call_agrees_with_per_line_parse(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "parse-paths.csv"
         path.write_text(text, encoding="utf-8", newline="")
         lines = [line for line in (line.strip() for line in text.splitlines()) if line]
-        assume(len(lines) > 1)
-        try:  # loadtxt rejects input only with ValueError
-            np.loadtxt(lines[1:], np.int64, comments=None, delimiter=",", ndmin=2)
-            loadtxt = "loadtxt accepts"
-        except ValueError:
-            loadtxt = "loadtxt rejects"
         header = ["PI", "RM", "T"]
+        if lines[0] != "PI,RM,T":  # a byte order mark is not whitespace
+            want = (ParseError, f"raw-material header is {lines[0]!r}, expected 'PI,RM,T'")
+        elif len(lines) == 1:
+            want = (ParseError, f"raw-material file {path} has a header but no records")
+        else:
+            want = parsed(lambda: _parse_lines(lines, header, "raw-material"))
         one_call = parsed(lambda: _read_table(path, header, "raw-material"))
-        assert one_call == parsed(lambda: _parse_lines(lines, header, "raw-material"))
-        event(f"{loadtxt}, both {'reject' if isinstance(one_call, tuple) else 'accept'}")
+        assert one_call == want
+        lf = text.isascii() and not any(end in text for end in "\r\x0b\x0c\x1c\x1d\x1e")
+        kind = "header-first LF" if lf and text.startswith("PI,RM,T\n") else "LF" if lf else "other"
+        event(f"{kind} table, {'error' if isinstance(want, tuple) else 'rows'}")
+
+    def test_lf_ascii_table_parses_from_its_bytes(self, paths, topology, monkeypatch, tmp_path):
+        # the bundled tables and a synth table take no line split; a table
+        # with a blank line first, a carriage return or a whitespace-only
+        # line does
+        def split(*args):
+            raise AssertionError("split into lines")
+
+        synth = ss.write_fixtures(ss.SynthConfig(periods=300), seed=3, out_dir=tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(history, "_split_and_parse", split)
+            for files in (paths, tuple(synth.values())):
+                for path, header in zip(files, _headers(topology.member_count)):
+                    assert not _read_table(path, header, "t").flags.writeable
+        for text in ("\nPI,RM,T\n1,1,1\n", "PI,RM,T\r\n1,1,1\n", "PI,RM,T\n1,1,1\n \n2,1,1\n"):
+            path = tmp_path / "split.csv"
+            path.write_bytes(text.encode())
+            with monkeypatch.context() as patch:
+                patch.setattr(history, "_split_and_parse", split)
+                with pytest.raises(AssertionError, match="split into lines"):
+                    _read_table(path, ["PI", "RM", "T"], "t")
+
+    @pytest.mark.parametrize("byte", [b"\x85", b"\xa0"])
+    def test_latin_1_space_is_not_utf_8(self, tmp_path, byte):
+        # loadtxt reads bytes as Latin-1, where these are whitespace; as
+        # UTF-8 they are no character at all
+        path = tmp_path / "raw.csv"
+        path.write_bytes(b"PI,RM,T\n1,1,3" + byte + b"\n")
+        kind, message = outcome(lambda: _read_table(path, ["PI", "RM", "T"], "raw-material"))
+        assert kind is ParseError
+        assert message.startswith(f"cannot read raw-material file {path}: 'utf-8' codec can't decode byte")
 
     def test_fallback_loads_what_int_accepts(self, tmp_path, tiny_rows):
         # loadtxt rejects "1_000" and "\uff15"; the form feed ends a record

@@ -584,3 +584,56 @@ class TestNumericKeys:
                 if row[0] == pid and q1 - radius <= row[1] <= q1 + radius
             ]
             assert store._rows[start:stop].tolist() == want
+
+
+def void_key_order(matrix):
+    """The stable order of the matrix's rows by their byte keys."""
+    return np.argsort(history._numeric_keys(matrix), kind="stable")
+
+
+class TestKeyOrder:
+    """The 16-bit digit lexsort against the stable argsort of byte keys."""
+
+    def test_one_row_and_equal_columns(self):
+        for matrix in (
+            np.array([[-(2**63), 2**63 - 1]], dtype=np.int64),
+            np.full((5, 3), 7, dtype=np.int64),
+            np.array([[2**63 - 1, 3], [2**63 - 1, 3], [2**63 - 1, -3]], dtype=np.int64),
+        ):
+            assert history._key_order(matrix).tolist() == void_key_order(matrix).tolist()
+
+    @pytest.mark.parametrize("span", [2**16 - 1, 2**16, 2**32, 2**48, 2**64 - 1])
+    def test_spans_at_digit_edges(self, span):
+        # each column runs from its minimum to its minimum plus the span,
+        # with values in between and on both ends, repeated
+        rng = np.random.default_rng(span % 1000)
+        for low in (-(2**63), -5, 2**63 - 1 - span):
+            if not -(2**63) <= low <= 2**63 - 1 - span:
+                continue
+            ends = [low, low + span, low + 1, low + span - 1, low + span // 2, low + span // 2 + 1]
+            matrix = np.array([rng.permutation(ends * 10) for _ in range(3)], dtype=np.int64).T
+            assert history._key_order(matrix).tolist() == void_key_order(matrix).tolist()
+
+    @given(
+        columns=st.lists(
+            st.sampled_from(
+                [(0, 1), (-3, 3), (0, 2**16 - 1), (-(2**40), 2**40), (2**63 - 2**33, 2**63 - 1),
+                 (-(2**63), 2**63 - 1)]
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        rows=st.integers(0, 60),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_narrow_and_wide_columns(self, columns, rows, data):
+        values = [
+            data.draw(st.lists(st.integers(lo, hi) | st.sampled_from([lo, hi]), min_size=rows, max_size=rows))
+            for lo, hi in columns
+        ]
+        matrix = np.array(values, dtype=np.int64).reshape(len(columns), rows).T
+        if rows > 2:  # repeat some whole rows
+            matrix[rows // 2 :] = matrix[: rows - rows // 2]
+        matrix = matrix[data.draw(st.permutations(range(rows)))]
+        assert history._key_order(matrix).tolist() == void_key_order(matrix).tolist()

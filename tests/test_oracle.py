@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from test_matcher import hexes, reference_fitness
 
 import stockswarm as ss
 from stockswarm.domain import INT64_MAX
+from stockswarm.errors import ConfigError
 
 
 def reference_oracle(store, config):
@@ -39,7 +40,30 @@ def reference_empty_vector(store, product_id, lb, ub):
     return None
 
 
+def reference_gap_scan(store, product_id, lb, ub, radius):
+    """The per-dimension scan of ``empty_match_candidate`` in Python ints:
+    on the first dimension that has one, the lower bound, else the lowest
+    gap wider than ``2 * radius + 1`` between the recorded values near the
+    box, else the upper bound; or None when no dimension has one."""
+    recorded = [r.levels for r in store.records if r.product_id == product_id]
+    filler = min(max(0, lb), ub)
+    for dim in range(store.topology.member_count):
+        values = sorted({lv[dim] for lv in recorded if lb - radius <= lv[dim] <= ub + radius})
+        gaps = [a + radius + 1 for a, b in zip(values, values[1:]) if b - a > 2 * radius + 1]
+        if not values or values[0] - lb > radius:
+            chosen = lb
+        elif gaps:
+            chosen = gaps[0]
+        elif ub - values[-1] > radius:
+            chosen = ub
+        else:
+            continue
+        return (product_id, *[chosen if d == dim else filler for d in range(len(recorded[0]))])
+    return None
+
+
 SMALL_TOPOLOGY = ss.Topology(dc_count=1, agents_per_dc=(1,))
+INT64_LEVELS = [-(2**63), -(2**63) + 1, -(2**62), 2**62, INT64_MAX - 1, INT64_MAX]
 SMALL_BOUNDS = dict(product_lb=1, stock_lb=-3, stock_ub=3)
 
 
@@ -202,6 +226,61 @@ class TestBruteForceBound:
         evaluator = ss.FitnessEvaluator(store, cfg)
         assert result.best_fitness == evaluator.evaluate([1, -far, 0, 0])
         assert result.best_fitness < evaluator.evaluate([1, far, far, far])
+
+
+    def test_gaps_wider_than_int64(self):
+        # Member 1's recorded values lie 2**63 or more apart, a difference
+        # that wraps in int64.  At radius 0 on nearly the whole int64 range
+        # (a float64 bound must fit it) the gap between the box edges is
+        # free; at radius 2**62 - 1 a gap wider than 2**63 - 1 is, one
+        # exactly that wide is not, and member 2 then gives the lower bound.
+        top = INT64_MAX - 1024
+        lb, ub, r = -(2**62), 2**62, 2**62 - 1
+        cases = [
+            ((-(2**63), top), -(2**63), top, 0, (1, -(2**63) + 1, 0, 0)),
+            ((lb - 5, ub + 5), lb, ub, r, (1, -5, 0, 0)),
+            ((lb - 5, lb - 5 + 2 * r + 1), lb, ub, r, (1, 0, lb, 0)),
+        ]
+        for member1, stock_lb, stock_ub, radius, want in cases:
+            history = [(tid, 1, (v, 5, 0)) for tid, v in enumerate(member1, start=1)]
+            store = ss.HistoryStore.from_records(
+                SMALL_TOPOLOGY, history, [(1, (0, 0)), (2, (0, 0))], [(1, 1, 4)]
+            )
+            cfg = ss.PsoConfig(
+                match_radius=radius,
+                bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=stock_lb, stock_ub=stock_ub),
+            )
+            assert ss.empty_match_candidate(store, 1, cfg) == want
+            assert reference_gap_scan(store, 1, stock_lb, stock_ub, radius) == want
+            assert len(store.match_individual(1, want[1:], radius)) == 0
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(1, 2), *[st.sampled_from(INT64_LEVELS) | st.integers(-4, 4)] * 3),
+            min_size=1,
+            max_size=12,
+        ),
+        bounds=st.tuples(*[st.sampled_from([-(2**63), -(2**62), 2**62]) | st.integers(-4, 4)] * 2).map(sorted),
+        radius=st.sampled_from([0, 1, 2, 2**61, 2**62 - 1, 2**62]) | st.integers(0, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gap_scan_matches_python_ints(self, rows, bounds, radius):
+        history = [(tid, pid, levels) for tid, (pid, *levels) in enumerate(rows, start=1)]
+        leads = [(tid, (0, 0)) for tid, _, _ in history]
+        store = ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, [(1, 1, 4), (2, 1, 4)])
+        lb, ub = bounds
+        assume(lb < ub)
+        try:  # the box widened by the radius must fit int64
+            cfg = ss.PsoConfig(
+                match_radius=radius, bounds=ss.Bounds(product_lb=1, product_ub=2, stock_lb=lb, stock_ub=ub)
+            )
+        except ConfigError:
+            assume(False)
+        for pid in store.products:
+            want = reference_gap_scan(store, pid, lb, ub, radius)
+            got = ss.empty_match_candidate(store, pid, cfg)
+            if want is not None or radius > 0:  # at radius 0 a covered box is walked instead
+                assert got == want
 
 
 class TestFarRecords:
