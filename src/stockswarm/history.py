@@ -495,11 +495,11 @@ def _int64_sums(
 def _read_table(path: str | Path, expected_header: list[str], label: str) -> np.ndarray:
     """Read a strict CSV table of integers into a read-only int64 matrix.
 
-    A table of ASCII bytes that ends its lines with ``\n`` alone and opens
+    A table of ASCII bytes that ends its lines with LF alone and opens
     with the exact header line is parsed from its bytes in one
     ``np.loadtxt`` call.  Any other table, or one that call rejects, is
     decoded and split by ``str.splitlines``; its stripped non-blank data
-    lines are parsed in one ``np.loadtxt`` call, and input that rejects is
+    lines are parsed in one ``np.loadtxt`` call too, and input it rejects is
     parsed again by :func:`_parse_lines`, which accepts what ``int()``
     accepts (``1_000``, full-width digits) and names the line of an error.
     Width disagreements raise DimensionMismatch (they usually mean the
