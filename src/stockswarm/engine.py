@@ -306,22 +306,29 @@ def _check_log_domain(store: HistoryStore, config: PsoConfig) -> None:
 
     Every integer product id inside the bounds is reachable by rounding, and
     any of them can match zero records (t_stock = 0), so each needs raw
-    rows and a positive worst-case argument w3 * t_raw up front.
+    rows and a positive worst-case argument w3 * t_raw up front.  The ids
+    with raw rows inside the bounds are a slice of the store's sorted ids,
+    which runs from ``product_lb`` without a gap up to the lowest missing
+    id; the lowest offending id below it, or else that id, is named.
     """
     weights = weights_from_priorities(config.priorities)
-    for pid in range(config.bounds.product_lb, config.bounds.product_ub + 1):
-        try:
-            t_raw = store.raw_lead_time_total(pid)
-        except MissingRawMaterial:
-            raise MissingRawMaterial(
-                f"product {pid} is inside the product bounds but has no raw-material rows"
-            ) from None
-        if weights.w3 * t_raw <= 0.0:
-            raise LogDomainError(
-                f"product {pid} can reach a zero fitness log argument "
-                f"(w3 * t_raw = {weights.w3 * t_raw}); "
-                "raise r3 or the raw-material lead times"
-            )
+    lb, ub = config.bounds.product_lb, config.bounds.product_ub
+    start, stop = np.searchsorted(store._raw_pids, lb), np.searchsorted(store._raw_pids, ub, "right")
+    pids = store._raw_pids[start:stop]
+    gap = np.flatnonzero(pids - np.arange(len(pids)) != lb)  # ids are positive, nothing wraps
+    present = int(gap[0]) if gap.size else len(pids)
+    w3_t_raw = weights.w3 * store._raw_totals[start : start + present]
+    low = np.flatnonzero(w3_t_raw <= 0.0)
+    if low.size:
+        raise LogDomainError(
+            f"product {pids[low[0]]} can reach a zero fitness log argument "
+            f"(w3 * t_raw = {float(w3_t_raw[low[0]])}); "
+            "raise r3 or the raw-material lead times"
+        )
+    if present < ub - lb + 1:
+        raise MissingRawMaterial(
+            f"product {lb + present} is inside the product bounds but has no raw-material rows"
+        )
 
 
 def run(

@@ -266,6 +266,12 @@ class HistoryStore:
                 t_stock[query[first]] += np.add.reduceat(self._sums[row], first)
         return occ, t_stock
 
+    def _record_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """P(occ) and t_stock of each record's own ``(PI, F1..Fl)`` vector
+        at radius 0, in TID order: ``match_counts`` of the history's rows,
+        read off each record's distinct row with no key search."""
+        return self._counts.take(self._record_row), self._sums.take(self._record_row)
+
     def match_individual(
         self, product_id: int, levels: Sequence[int], radius: int
     ) -> np.ndarray:

@@ -5,9 +5,11 @@ whose stock vector equals its rounded vector exactly, so every reachable
 fitness value is hit by evaluating each record's own vector plus, per
 product, one vector that matches nothing.  The minimum over that candidate
 set is therefore a true lower bound on anything the swarm can return at
-radius 0.  At larger radii the enumeration is still a useful reference
-point but no longer an exhaustive bound, since partial overlaps of several
-record boxes become reachable.
+radius 0.  A record's own vector matches the records of its distinct index
+row there, so the oracle reads those candidates' counts off the index and
+looks up only the vectors that match nothing.  At larger radii the
+enumeration is still a useful reference point but no longer an exhaustive
+bound, since partial overlaps of several record boxes become reachable.
 """
 
 from __future__ import annotations
@@ -120,12 +122,27 @@ def enumerate_candidates(
 
 
 def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
-    """Score the candidate matrix with one ``evaluate_batch`` call and return
-    the minimum.  Ties keep the earliest candidate, so the result is
-    deterministic and independent of any seed."""
+    """Score the candidate matrix and return the minimum.  Ties keep the
+    earliest candidate, so the result is deterministic and independent of
+    any seed.
+
+    At radius 0 the record rows take their distinct row's count and lead
+    time sum from the index (``HistoryStore._record_counts``), only the
+    empty-match rows go through ``match_counts``, and one ``score`` call
+    covers them all.  A larger radius scores the matrix with one
+    ``evaluate_batch`` call.
+    """
     _check_log_domain(store, config)
     candidates, skipped = enumerate_candidates(store, config)
-    fitness = FitnessEvaluator(store, config).evaluate_batch(candidates)
+    evaluator = FitnessEvaluator(store, config)
+    if config.match_radius == 0:
+        record_occ, record_t = store._record_counts()
+        empty = candidates[store.total_periods :]
+        empty_occ, empty_t = store.match_counts(empty[:, 0], empty[:, 1:], 0)
+        occ, t_stock = np.concatenate((record_occ, empty_occ)), np.concatenate((record_t, empty_t))
+        fitness = evaluator.score(candidates[:, 0], occ, t_stock)
+    else:
+        fitness = evaluator.evaluate_batch(candidates)
     best = int(np.argmin(fitness))  # argmin takes the earliest on ties
     return OracleResult(
         best_position=tuple(candidates[best].tolist()),

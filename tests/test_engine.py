@@ -1,6 +1,7 @@
 """Fitness evaluation, update arithmetic and full-run behavior."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -196,6 +197,74 @@ class TestEvaluate:
         )
         with pytest.raises(LogDomainError):
             ss.FitnessEvaluator(store, cfg).evaluate([1, 5, 5, 5])
+
+
+def _raw_store(raw_totals):
+    """A one-record store of product 1 whose raw-material rows give each
+    product id its total, one row per id."""
+    topology = ss.Topology(dc_count=1, agents_per_dc=(1,))
+    raws = [(pid, 1, total) for pid, total in sorted(raw_totals.items())]
+    return ss.HistoryStore.from_records(topology, [(1, 1, (0, 0, 0))], [(1, (1, 1))], raws)
+
+
+def _missing(pid):
+    return MissingRawMaterial, f"product {pid} is inside the product bounds but has no raw-material rows"
+
+
+def _log_zero(pid):
+    return LogDomainError, (
+        f"product {pid} can reach a zero fitness log argument (w3 * t_raw = 0.0); "
+        "raise r3 or the raw-material lead times"
+    )
+
+
+class TestLogDomainCheck:
+    """Both searches check every product id in the bounds before they start;
+    the lowest offending id wins, whichever of the two errors it has."""
+
+    SEARCHES = {
+        "run": lambda store, cfg: ss.run(store, store.topology, cfg),
+        "oracle": ss.oracle_minimum,
+    }
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    @pytest.mark.parametrize(
+        "raw_totals, bounds, priorities, error",
+        [
+            ({1: 4, 2: 6, 4: 9}, (1, 4), (10, 5, 1), _missing(3)),
+            ({1: 4, 2: 6}, (0, 2), (10, 5, 1), _missing(0)),
+            ({1: 4, 2: 6}, (1, 5), (10, 5, 1), _missing(3)),
+            ({1: 4, 2: 0, 3: 5}, (1, 6), (10, 5, 1), _log_zero(2)),
+            ({1: 4, 3: 0}, (1, 3), (10, 5, 1), _missing(2)),
+            ({1: 4, 2: 0}, (2, 2), (10, 5, 1), _log_zero(2)),
+            ({1: 4, 2: 6}, (1, 2), (1, 1, 0), _log_zero(1)),
+            ({1: 4, 2: 6}, (-(2**63), 2), (10, 5, 1), _missing(-(2**63))),
+            ({1: 4, 2: 6}, (1, 2**62), (10, 5, 1), _missing(3)),
+            ({1: 4, 2: 6}, (10**12, 10**12 + 5), (10, 5, 1), _missing(10**12)),
+            ({1: 4, 5: 0, 6: 3}, (6, 9), (10, 5, 1), _missing(7)),
+        ],
+    )
+    def test_lowest_offending_product_wins(self, search, raw_totals, bounds, priorities, error):
+        store = _raw_store(raw_totals)
+        cfg = ss.PsoConfig(
+            match_radius=0,
+            bounds=ss.Bounds(product_lb=bounds[0], product_ub=bounds[1]),
+            priorities=ss.PriorityConfig(*priorities),
+        )
+        kind, message = error
+        with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+            self.SEARCHES[search](store, cfg)
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    @pytest.mark.parametrize(
+        "raw_totals, bounds",
+        [({1: 4, 2: 6, 9: 0}, (1, 2)), ({1: 5, 6: 0, 7: 3, 8: 0}, (7, 7)), ({1: 4, 2: 1, 3: 2}, (1, 3))],
+    )
+    def test_ids_outside_the_bounds_are_not_checked(self, search, raw_totals, bounds):
+        store = _raw_store(raw_totals)
+        bounds = ss.Bounds(product_lb=bounds[0], product_ub=bounds[1])
+        cfg = ss.PsoConfig(match_radius=0, max_iterations=2, swarm_size=4, bounds=bounds)
+        self.SEARCHES[search](store, cfg)
 
 
 class TestInertiaWeight:

@@ -119,6 +119,96 @@ class TestAgainstReference:
         assert hexes(evaluator.evaluate_batch(candidates)) == hexes(want)
 
 
+def large_store(seed, periods, topology, pool, recorded, product_ub):
+    """A store of ``periods`` records drawn over ``recorded`` product ids
+    and the level values of ``pool``, with a quarter of the rows copied
+    over other TIDs and the TIDs shuffled.  Every id in ``1..product_ub``
+    and every recorded id has raw-material rows; the ids in the bounds
+    that are not recorded have no records."""
+    rng = np.random.default_rng(seed)
+    members = topology.member_count
+    pids = rng.choice(np.asarray(recorded, dtype=np.int64), size=periods)
+    levels = rng.choice(np.asarray(pool, dtype=np.int64), size=(periods, members))
+    source, target = rng.integers(0, periods, size=(2, periods // 4))
+    pids[target], levels[target] = pids[source], levels[source]
+    tids = rng.permutation(periods).astype(np.int64) * 3 + 1
+    history = np.column_stack((tids, pids, levels))
+    lead = np.column_stack((tids, rng.integers(0, 50, size=(periods, members - 1))))
+    raw_pids = np.union1d(np.arange(1, product_ub + 1), recorded)
+    raw = np.column_stack(
+        (raw_pids, np.ones_like(raw_pids), rng.integers(1, 40, size=len(raw_pids)))
+    )
+    return ss.HistoryStore(topology, history, lead, raw)
+
+
+# (level pool, stock bounds): narrow pools repeat rows and cover whole
+# product boxes at radius 0; the int64 pool puts levels at both limits.
+LEVEL_POOLS = {
+    "covered": (range(-1, 2), (-1, 1)),
+    "narrow": (range(-3, 4), (-3, 3)),
+    "wide": (range(-1000, 1001), (-1000, 1000)),
+    "int64": (INT64_LEVELS + [-1, 0, 1], (-(2**63), 2**62)),
+}
+
+
+class TestAtSize:
+    """The radius-0 oracle and ``_record_counts`` against ``evaluate_batch``
+    and ``match_counts`` on stores too large for the per-candidate loop:
+    hundreds of products, ids in the bounds without records, repeated rows
+    and levels at the int64 limits."""
+
+    CASES = [
+        # seed, periods, 3 or 7 members, pool, recorded ids, product_ub
+        (0, 20_000, 3, "covered", range(1, 41), 45),
+        (1, 5_000, 3, "narrow", range(1, 600, 2), 700),
+        (2, 20_000, 7, "narrow", range(1, 6), 5),
+        (3, 20_000, 7, "wide", range(1, 301), 300),
+        (4, 8_000, 7, "wide", range(50, 2050, 4), 1000),
+        (5, 20_000, 3, "int64", range(1, 501, 3), 520),
+        (6, 10_000, 7, "int64", range(1, 9), 12),
+    ]
+
+    @staticmethod
+    def build(seed, periods, members, pool, recorded, product_ub):
+        topology = SMALL_TOPOLOGY if members == 3 else ss.Topology()
+        levels, (stock_lb, stock_ub) = LEVEL_POOLS[pool]
+        store = large_store(seed, periods, topology, list(levels), list(recorded), product_ub)
+        bounds = ss.Bounds(product_ub=product_ub, stock_lb=stock_lb, stock_ub=stock_ub)
+        return store, ss.PsoConfig(match_radius=0, bounds=bounds)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_oracle_equals_batch_argmin(self, case, monkeypatch):
+        store, cfg = self.build(*case)
+        candidates, skipped = ss.enumerate_candidates(store, cfg)
+        want = ss.FitnessEvaluator(store, cfg).evaluate_batch(candidates)
+        best = int(np.argmin(want))
+        scored, score = [], ss.FitnessEvaluator.score
+
+        def recorded_score(*args):
+            scored.append(score(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(ss.FitnessEvaluator, "score", recorded_score)
+        got = ss.oracle_minimum(store, cfg)
+        assert got == ss.OracleResult(
+            best_position=tuple(candidates[best].tolist()),
+            best_fitness=float(want[best]),
+            evaluations=len(candidates),
+            skipped_products=skipped,
+        )
+        assert [hexes(fitness) for fitness in scored] == [hexes(want)]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_record_counts_equal_match_counts(self, case):
+        store, _ = self.build(*case)
+        history = store.history
+        occ, t_stock = store._record_counts()
+        want_occ, want_t_stock = store.match_counts(history[:, 1], history[:, 2:], 0)
+        assert occ.dtype == t_stock.dtype == np.int64
+        assert occ.tolist() == want_occ.tolist()
+        assert t_stock.tolist() == want_t_stock.tolist()
+
+
 class TestBruteForceBound:
     """The radius-0 minimum against every integer vector the swarm can round
     to, each scored by ``evaluate_batch``; no candidate enumeration involved."""
