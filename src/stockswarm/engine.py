@@ -306,29 +306,46 @@ def _check_log_domain(store: HistoryStore, config: PsoConfig) -> None:
 
     Every integer product id inside the bounds is reachable by rounding, and
     any of them can match zero records (t_stock = 0), so each needs raw
-    rows and a positive worst-case argument w3 * t_raw up front.  The ids
-    with raw rows inside the bounds are a slice of the store's sorted ids,
-    which runs from ``product_lb`` without a gap up to the lowest missing
-    id; the lowest offending id below it, or else that id, is named.
+    rows and a positive worst-case argument w3 * t_raw up front.  The lowest
+    offending id below the lowest id without raw rows, or else that id
+    (``_bounded_product_ids``), is named.
     """
     weights = weights_from_priorities(config.priorities)
-    lb, ub = config.bounds.product_lb, config.bounds.product_ub
-    start, stop = np.searchsorted(store._raw_pids, lb), np.searchsorted(store._raw_pids, ub, "right")
-    pids = store._raw_pids[start:stop]
-    gap = np.flatnonzero(pids - np.arange(len(pids)) != lb)  # ids are positive, nothing wraps
-    present = int(gap[0]) if gap.size else len(pids)
+    start, present = _raw_run(store, config.bounds)
     w3_t_raw = weights.w3 * store._raw_totals[start : start + present]
     low = np.flatnonzero(w3_t_raw <= 0.0)
     if low.size:
         raise LogDomainError(
-            f"product {pids[low[0]]} can reach a zero fitness log argument "
+            f"product {store._raw_pids[start + low[0]]} can reach a zero fitness log argument "
             f"(w3 * t_raw = {float(w3_t_raw[low[0]])}); "
             "raise r3 or the raw-material lead times"
         )
-    if present < ub - lb + 1:
+    _bounded_product_ids(store, config.bounds)
+
+
+def _raw_run(store: HistoryStore, bounds: Bounds) -> tuple[int, int]:
+    """Where the store's sorted raw-material ids in the product bounds
+    start, and how many of them run from ``product_lb`` without a gap: the
+    lowest missing id is the first where an id differs from ``product_lb``
+    plus its offset, so no array spans the bounds."""
+    lb, ub = bounds.product_lb, bounds.product_ub
+    start, stop = np.searchsorted(store._raw_pids, lb), np.searchsorted(store._raw_pids, ub, "right")
+    pids = store._raw_pids[start:stop]
+    gap = np.flatnonzero(pids - np.arange(len(pids)) != lb)  # ids are positive, nothing wraps
+    return int(start), int(gap[0]) if gap.size else len(pids)
+
+
+def _bounded_product_ids(store: HistoryStore, bounds: Bounds) -> np.ndarray:
+    """Every integer id in ``[product_lb, product_ub]``, ascending, read off
+    the store's raw-material ids.  The lowest id in the bounds without
+    raw-material rows raises MissingRawMaterial first."""
+    start, present = _raw_run(store, bounds)
+    if present < bounds.product_ub - bounds.product_lb + 1:
         raise MissingRawMaterial(
-            f"product {lb + present} is inside the product bounds but has no raw-material rows"
+            f"product {bounds.product_lb + present} is inside the product bounds "
+            "but has no raw-material rows"
         )
+    return store._raw_pids[start : start + present]
 
 
 def run(

@@ -220,16 +220,6 @@ class HistoryStore:
         """Product ids that occur in the history, ascending."""
         return tuple(self._products.tolist())
 
-    def _distinct_rows(self, product_id: int) -> np.ndarray:
-        """Read-only (rows, members) matrix of one product's distinct level
-        rows in lexicographic order; no rows when it has no records.  An id
-        that is not an int64 integer raises ConfigError."""
-        product_id = _int64_array(product_id, ConfigError, "product id")
-        at = int(np.searchsorted(self._products, product_id))
-        if at == len(self._products) or self._products[at] != product_id:
-            return self._rows[:0]
-        return self._rows[self._row_starts[at] : self._row_starts[at + 1]]
-
     def _check_lead_time_totals(self) -> None:
         """Raise ParseError when the lead times of one product's records sum
         past int64, naming the lowest such product.  A match sums t_stock in
@@ -265,12 +255,6 @@ class HistoryStore:
                 occ[query[first]] += np.add.reduceat(self._counts[row], first)
                 t_stock[query[first]] += np.add.reduceat(self._sums[row], first)
         return occ, t_stock
-
-    def _record_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """P(occ) and t_stock of each record's own ``(PI, F1..Fl)`` vector
-        at radius 0, in TID order: ``match_counts`` of the history's rows,
-        read off each record's distinct row with no key search."""
-        return self._counts.take(self._record_row), self._sums.take(self._record_row)
 
     def match_individual(
         self, product_id: int, levels: Sequence[int], radius: int

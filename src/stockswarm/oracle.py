@@ -6,10 +6,11 @@ fitness value is hit by evaluating each record's own vector plus, per
 product, one vector that matches nothing.  The minimum over that candidate
 set is therefore a true lower bound on anything the swarm can return at
 radius 0.  A record's own vector matches the records of its distinct index
-row there, so the oracle reads those candidates' counts off the index and
-looks up only the vectors that match nothing.  At larger radii the
-enumeration is still a useful reference point but no longer an exhaustive
-bound, since partial overlaps of several record boxes become reachable.
+row there, so the oracle scores each distinct row once, from the count and
+lead-time sum the index holds, and looks up only the vectors that match
+nothing.  At larger radii the enumeration is still a useful reference point
+but no longer an exhaustive bound, since partial overlaps of several record
+boxes become reachable.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import INT64_MAX, INT64_MIN
-from .engine import FitnessEvaluator, PsoConfig, _check_log_domain
-from .history import HistoryStore
+from .engine import FitnessEvaluator, PsoConfig, _bounded_product_ids, _check_log_domain
+from .errors import ConfigError
+from .history import HistoryStore, _int64_array, _key_order
 
 __all__ = ["OracleResult", "empty_match_candidate", "enumerate_candidates", "oracle_minimum"]
 
@@ -35,69 +37,146 @@ class OracleResult:
     skipped_products: tuple[int, ...]
 
 
-def empty_match_candidate(
-    store: HistoryStore, product_id: int, config: PsoConfig
-) -> tuple[int, ...] | None:
-    """A stock vector for ``product_id`` that matches zero records, or None.
+def _gap_scan(
+    store: HistoryStore, config: PsoConfig, product_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A ``(PI, F1..Fl)`` row that matches zero records for each of the
+    ascending int64 ``product_ids``, and whether each product has one.
 
     Scans the stock dimensions in order for an integer value farther than
     the matching radius from every recorded level of that product on that
-    dimension; one such dimension is enough to defeat the box test.  The
-    scan is deterministic: bound edges first, then the lowest qualifying
-    inter-record gap; only recorded values within the radius of the stock
-    box take part, so the chosen level lies in the box.  At radius 0, when
-    every dimension is covered, the first vector of the stock box in
-    lexicographic order that no record holds is taken instead.  None means, at radius 0, that the records hold
-    every vector of the box; at a larger radius, that no single dimension
-    escapes the records, though a vector escaping them on several
-    dimensions at once may still exist.
+    dimension; one such dimension is enough to defeat the box test, and the
+    other members take a filler level.  The scan is deterministic: bound
+    edges first, then the lowest qualifying inter-record gap; only recorded
+    values within the radius of the stock box take part, so the chosen level
+    lies in the box.  An id without records gets the filler vector.
+
+    Each dimension is one pass over the index for every product still
+    without a choice: its rows' levels, ascending in each product (in key
+    order for member 1, by ``_key_order`` of ``(product, level)`` for the
+    others).  A product's levels near the box are counted from its start,
+    and its first qualifying gap is one ``flatnonzero`` over the whole pass
+    and a ``searchsorted`` of its first near level; the gaps are compared
+    in uint64, so none wraps.
+
+    At radius 0, when every dimension is covered, the first vector of the
+    stock box in lexicographic order that no record holds is taken instead.
+    A product lacks a vector when, at radius 0, its records hold every
+    vector of the box; at a larger radius, when no single dimension escapes
+    the records, though a vector escaping them on several dimensions at
+    once may still exist.
     """
-    l = store.topology.member_count
-    lb, ub = config.bounds.stock_lb, config.bounds.stock_ub
-    radius = config.match_radius
-    rows = store._distinct_rows(product_id)
-    filler = min(max(0, lb), ub)
-    if len(rows) == 0:
-        return (product_id,) + (filler,) * l
-    near = max(lb - radius, INT64_MIN), min(ub + radius, INT64_MAX)  # recorded values near the box
-    for dim in range(l):
-        if dim == 0:  # member 1 ascends in the distinct rows
-            column = rows[:, 0]
-            values = column[np.append(True, column[1:] != column[:-1])]
+    lb, ub, radius = config.bounds.stock_lb, config.bounds.stock_ub, config.match_radius
+    near_lb, near_ub = max(lb - radius, INT64_MIN), min(ub + radius, INT64_MAX)
+    # A lowest level above lb + radius leaves lb free, a highest one below
+    # ub - radius leaves ub free; clamped, an edge past int64 frees nothing.
+    above_lb, below_ub = min(lb + radius, INT64_MAX), max(ub - radius, INT64_MIN)
+    wide, step = np.uint64(min(2 * radius + 1, 2**64 - 1)), np.uint64(radius + 1)
+    vectors = np.full(
+        (len(product_ids), store.topology.member_count + 1), min(max(0, lb), ub), dtype=np.int64
+    )
+    vectors[:, 0] = product_ids
+    block = np.minimum(np.searchsorted(store._products, product_ids), len(store._products) - 1)
+    starts = store._row_starts[block]
+    sizes = store._row_starts[block + 1] - starts
+    pending = np.flatnonzero(store._products[block] == product_ids)  # recorded ids
+    for dim, column in enumerate(store._rows.T):
+        if not len(pending):
+            break
+        size = sizes[pending]
+        ends = np.cumsum(size)
+        offsets = ends - size  # where each product's levels start in ``values``
+        if ends[-1] == len(column):  # every block, in index order
+            values = column
         else:
-            values = np.unique(rows[:, dim])
-        values = values[np.searchsorted(values, near[0]) : np.searchsorted(values, near[1], "right")]
-        chosen: int | None = None
-        if not len(values) or int(values[0]) - lb > radius:
-            chosen = lb
+            values = column.take(np.arange(ends[-1]) + np.repeat(starts[pending] - offsets, size))
+        if dim:  # member 1 already ascends in each product's block
+            owner = np.repeat(np.arange(len(pending)), size)
+            values = values.take(_key_order(np.column_stack((owner, values))))
+        # each product's levels near the box, ascending, lie in [first, stop)
+        first = offsets + np.add.reduceat(values < near_lb, offsets)
+        stop = offsets + np.add.reduceat(values <= near_ub, offsets)
+        held = first < stop
+        first, stop = first[held], stop[held]
+        # The levels ascend inside a product, so no difference there wraps.
+        # A gap that leaves a product's near levels, or lies between two
+        # products, starts below its first or at its last, so it is never
+        # taken.
+        gap = np.flatnonzero(np.diff(values.view(np.uint64)) > wide)
+        gap = np.append(gap, len(values))[np.searchsorted(gap, first)]  # taken if below last
+        free = (values.view(np.uint64).take(np.minimum(gap, len(values) - 1)) + step).view(np.int64)
+        last = stop - 1
+        low, inner, high = values[first] > above_lb, gap < last, values[last] < below_ub
+        chosen = np.full(len(pending), lb, dtype=np.int64)  # no level near the box: lb is free
+        chosen[held] = np.where(low, lb, np.where(inner, free, ub))
+        done = ~held
+        done[held] = low | inner | high
+        vectors[pending[done], dim + 1] = chosen[done]
+        pending = pending[~done]
+    found = np.ones(len(product_ids), dtype=bool)
+    for at in pending.tolist():  # every dimension covered
+        rows = store._rows[starts[at] : starts[at] + sizes[at]]
+        vector = _first_free_vector(rows, lb, ub) if radius == 0 else None
+        found[at] = vector is not None
+        if found[at]:
+            vectors[at, 1:] = vector
+    return vectors, found
+
+
+def _first_free_vector(rows: np.ndarray, lb: int, ub: int) -> list[int] | None:
+    """The first vector of the box ``[lb, ub]`` in lexicographic order that
+    is not among ``rows``, a product's distinct rows in lexicographic order,
+    or None when they hold the whole box.
+
+    The rows inside the box ascend, so the k-th of them is the box's k-th
+    vector for every k up to the first free one and for none after it: a
+    bisection finds it, with each rank's digits in Python ints.
+    """
+    rows = rows[((rows >= lb) & (rows <= ub)).all(axis=1)]
+    width, members = ub - lb + 1, rows.shape[1]
+
+    def vector(rank: int) -> list[int]:
+        return [lb + rank // width**power % width for power in range(members - 1, -1, -1)]
+
+    low, high = 0, len(rows)
+    while low < high:
+        middle = (low + high) // 2
+        if rows[middle].tolist() == vector(middle):
+            low = middle + 1
         else:
-            # the values ascend, so no difference wraps in uint64
-            gaps = np.diff(values.view(np.uint64))
-            wide = np.flatnonzero(gaps > np.uint64(min(2 * radius + 1, 2**64 - 1)))
-            if wide.size:
-                chosen = int(values[wide[0]]) + radius + 1
-            elif ub - int(values[-1]) > radius:
-                chosen = ub
-        if chosen is not None:
-            levels = [filler] * l
-            levels[dim] = chosen
-            return (product_id, *levels)
-    if radius == 0:
-        # Every dimension holds each box value, so the box is at most
-        # records wide.  The product's distinct rows inside the box, in
-        # lexicographic order, are the box's first vectors up to the first
-        # free one, whose rank is that of the first row that differs.
-        rows = rows[((rows >= lb) & (rows <= ub)).all(axis=1)]
-        width = ub - lb + 1
-        # place values past len(rows) give digit 0 for every rank used
-        places = [min(width**power, len(rows) + 1) for power in range(l - 1, -1, -1)]
-        ranks = np.arange(len(rows) + 1)[:, None]
-        vectors = lb + ranks // np.array(places) % width
-        differs = np.flatnonzero((vectors[:-1] != rows).any(axis=1))
-        free = int(differs[0]) if differs.size else len(rows)
-        if free < width**l:
-            return (product_id, *vectors[free].tolist())
-    return None
+            high = middle
+    return vector(low) if low < width**members else None
+
+
+def empty_match_candidate(
+    store: HistoryStore, product_id: int, config: PsoConfig
+) -> tuple[int, ...] | None:
+    """A stock vector for ``product_id`` that matches zero records, or None:
+    the whole-index gap scan of ``enumerate_candidates`` for one product.
+    An id that is not an int64 integer raises ConfigError."""
+    vectors, found = _gap_scan(store, config, _int64_array([product_id], ConfigError, "product id"))
+    return tuple(vectors[0].tolist()) if found[0] else None
+
+
+def _empty_match_rows(
+    store: HistoryStore, config: PsoConfig
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The empty-match vectors, one ``(PI, F1..Fl)`` row per product id the
+    swarm can round to (the bounded integer range united with the products
+    actually on record) that has one, ascending, and the ids that have none.
+
+    An id in the bounds without raw-material rows raises MissingRawMaterial
+    before anything is sized by the bounds."""
+    bounds, products = config.bounds, store._products
+    # Every recorded product has raw-material rows, so the ids in the bounds
+    # hold the recorded ones there.
+    product_ids = np.concatenate((
+        products[: np.searchsorted(products, bounds.product_lb)],
+        _bounded_product_ids(store, bounds),
+        products[np.searchsorted(products, bounds.product_ub, "right") :],
+    ))
+    vectors, found = _gap_scan(store, config, product_ids)
+    return vectors[found], tuple(product_ids[~found].tolist())
 
 
 def enumerate_candidates(
@@ -110,43 +189,46 @@ def enumerate_candidates(
     vector per product id the swarm can round to (the bounded integer range
     united with the products actually on record), ascending.
     """
-    product_ids = sorted(
-        set(store.products)
-        | set(range(config.bounds.product_lb, config.bounds.product_ub + 1))
-    )
-    found = {pid: empty_match_candidate(store, pid, config) for pid in product_ids}
-    empty = [candidate for candidate in found.values() if candidate is not None]
-    empty = np.array(empty, dtype=np.int64).reshape(-1, store.history.shape[1] - 1)
-    skipped = tuple(pid for pid, candidate in found.items() if candidate is None)
+    empty, skipped = _empty_match_rows(store, config)
     return np.vstack([store.history[:, 1:], empty]), skipped
 
 
 def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
-    """Score the candidate matrix and return the minimum.  Ties keep the
-    earliest candidate, so the result is deterministic and independent of
-    any seed.
+    """The minimum over the candidates of ``enumerate_candidates``.  Ties
+    keep the earliest candidate, so the result is deterministic and
+    independent of any seed.
 
-    At radius 0 the record rows take their distinct row's count and lead
-    time sum from the index (``HistoryStore._record_counts``), only the
-    empty-match rows go through ``match_counts``, and one ``score`` call
-    covers them all.  A larger radius scores the matrix with one
-    ``evaluate_batch`` call.
+    At radius 0 no candidate matrix is built.  The records sharing a
+    distinct index row share its count, lead-time sum and product, so one
+    ``score`` call scores each distinct row once and the records read their
+    fitness through ``_record_row``; the earliest minimum among them is the
+    earliest record in TID order.  The empty-match rows go through
+    ``match_counts`` and a second ``score`` call, and win only when strictly
+    lower, since records come first.  A larger radius scores the matrix with
+    one ``evaluate_batch`` call.
     """
     _check_log_domain(store, config)
-    candidates, skipped = enumerate_candidates(store, config)
-    evaluator = FitnessEvaluator(store, config)
-    if config.match_radius == 0:
-        record_occ, record_t = store._record_counts()
-        empty = candidates[store.total_periods :]
-        empty_occ, empty_t = store.match_counts(empty[:, 0], empty[:, 1:], 0)
-        occ, t_stock = np.concatenate((record_occ, empty_occ)), np.concatenate((record_t, empty_t))
-        fitness = evaluator.score(candidates[:, 0], occ, t_stock)
+    if config.match_radius:
+        candidates, skipped = enumerate_candidates(store, config)
+        fitness = FitnessEvaluator(store, config).evaluate_batch(candidates)
+        best = int(np.argmin(fitness))  # argmin takes the earliest on ties
+        position, best_fitness, evaluations = candidates[best], fitness[best], len(candidates)
     else:
-        fitness = evaluator.evaluate_batch(candidates)
-    best = int(np.argmin(fitness))  # argmin takes the earliest on ties
+        empty, skipped = _empty_match_rows(store, config)
+        evaluator = FitnessEvaluator(store, config)
+        pids = np.repeat(store._products, np.diff(store._row_starts))
+        fitness = evaluator.score(pids, store._counts, store._sums).take(store._record_row)
+        best = int(np.argmin(fitness))
+        position, best_fitness = store.history[best, 1:], fitness[best]
+        occ, t_stock = store.match_counts(empty[:, 0], empty[:, 1:], 0)
+        empty_fitness = evaluator.score(empty[:, 0], occ, t_stock)
+        if len(empty) and empty_fitness.min() < best_fitness:
+            best = int(np.argmin(empty_fitness))
+            position, best_fitness = empty[best], empty_fitness[best]
+        evaluations = store.total_periods + len(empty)
     return OracleResult(
-        best_position=tuple(candidates[best].tolist()),
-        best_fitness=float(fitness[best]),
-        evaluations=len(candidates),
+        best_position=tuple(position.tolist()),
+        best_fitness=float(best_fitness),
+        evaluations=evaluations,
         skipped_products=skipped,
     )

@@ -400,9 +400,10 @@ class TestQueriesOutsideInt64:
             with pytest.raises(ConfigError, match="int64"):
                 store.match_individual(pid, levels[0], radius)
             with pytest.raises(ConfigError, match="int64"):
-                store._distinct_rows(pid)
+                ss.empty_match_candidate(store, pid, ss.PsoConfig(match_radius=radius))
         assert store.match_individual(3.0, levels[0], radius).tolist() == [1]
-        assert np.array_equal(store._distinct_rows(3.0), store._distinct_rows(3))
+        cfg = ss.PsoConfig(match_radius=radius)
+        assert ss.empty_match_candidate(store, 3.0, cfg) == ss.empty_match_candidate(store, 3, cfg)
 
     def test_match_counts_accepts_integral_floats(self, store):
         occ, t_stock = store.match_counts(3, np.array([[632.0, 424, 247, -298, -115, 365, 961]]), 0)
@@ -560,9 +561,12 @@ class TestNumericKeys:
         # product's block holds that product's rows
         assert np.array_equal(store._keys[store._record_row], history._numeric_keys(store.history[:, 1:]))
         assert store._counts.tolist() == np.bincount(store._record_row).tolist()
+        ends = zip(store._row_starts[:-1].tolist(), store._row_starts[1:].tolist())
+        blocks = dict(zip(store._products.tolist(), ends))
         for pid in (1, 2, 3, 2**63 - 1):
             want = [row[1:] for row in distinct.tolist() if row[0] == pid]
-            assert store._distinct_rows(pid).tolist() == want
+            start, stop = blocks.get(pid, (0, 0))
+            assert store._rows[start:stop].tolist() == want
         # the two key searches find each query's product rows with member 1
         # in [q1 - radius, q1 + radius], in key order; some windows end on
         # the member 1 of a row, whose members 2 and 3 are often at the

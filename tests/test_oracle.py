@@ -10,7 +10,7 @@ from test_matcher import hexes, reference_fitness
 
 import stockswarm as ss
 from stockswarm.domain import INT64_MAX
-from stockswarm.errors import ConfigError
+from stockswarm.errors import ConfigError, MissingRawMaterial
 
 
 def reference_oracle(store, config):
@@ -34,9 +34,16 @@ def reference_empty_vector(store, product_id, lb, ub):
     order that no record of ``product_id`` holds, or None: a walk over the
     box against a set of the recorded vectors."""
     recorded = {r.levels for r in store.records if r.product_id == product_id}
-    for levels in itertools.product(range(lb, ub + 1), repeat=store.topology.member_count):
+    levels = reference_walk(recorded, store.topology.member_count, lb, ub)
+    return None if levels is None else (product_id, *levels)
+
+
+def reference_walk(recorded, members, lb, ub):
+    """The first levels of the box ``[lb, ub]`` in lexicographic order that
+    are not in the set ``recorded``, or None."""
+    for levels in itertools.product(range(lb, ub + 1), repeat=members):
         if levels not in recorded:
-            return (product_id, *levels)
+            return levels
     return None
 
 
@@ -46,20 +53,59 @@ def reference_gap_scan(store, product_id, lb, ub, radius):
     gap wider than ``2 * radius + 1`` between the recorded values near the
     box, else the upper bound; or None when no dimension has one."""
     recorded = [r.levels for r in store.records if r.product_id == product_id]
+    levels = reference_scan_levels(recorded, store.topology.member_count, lb, ub, radius)
+    return None if levels is None else (product_id, *levels)
+
+
+def reference_scan_levels(recorded, members, lb, ub, radius):
+    """``reference_gap_scan``'s levels for the recorded level vectors of one
+    product, or None."""
+    scanned = reference_scan(recorded, members, lb, ub, radius)
+    if scanned is None:
+        return None
+    dim, chosen, _ = scanned
     filler = min(max(0, lb), ub)
-    for dim in range(store.topology.member_count):
+    return tuple(chosen if d == dim else filler for d in range(members))
+
+
+def reference_scan(recorded, members, lb, ub, radius):
+    """The first dimension with a free level, that level and the rule that
+    gave it ("lb", "gap" or "ub"), or None."""
+    for dim in range(members):
         values = sorted({lv[dim] for lv in recorded if lb - radius <= lv[dim] <= ub + radius})
         gaps = [a + radius + 1 for a, b in zip(values, values[1:]) if b - a > 2 * radius + 1]
         if not values or values[0] - lb > radius:
-            chosen = lb
-        elif gaps:
-            chosen = gaps[0]
-        elif ub - values[-1] > radius:
-            chosen = ub
-        else:
-            continue
-        return (product_id, *[chosen if d == dim else filler for d in range(len(recorded[0]))])
+            return dim, lb, "lb"
+        if gaps:
+            return dim, gaps[0], "gap"
+        if ub - values[-1] > radius:
+            return dim, ub, "ub"
     return None
+
+
+def reference_empty_rows(store, config):
+    """Every empty-match row of the candidate set, ascending, and the ids
+    without one, by Python loops over each product's recorded vectors: the
+    filler vector for an id without records, else the scan's levels, else
+    at radius 0 the box walk's."""
+    bounds, radius = config.bounds, config.match_radius
+    lb, ub, members = bounds.stock_lb, bounds.stock_ub, store.topology.member_count
+    recorded = {}
+    for record in store.records:
+        recorded.setdefault(record.product_id, set()).add(record.levels)
+    rows, skipped = [], []
+    for pid in sorted(set(recorded) | set(range(bounds.product_lb, bounds.product_ub + 1))):
+        if pid not in recorded:
+            levels = (min(max(0, lb), ub),) * members
+        else:
+            levels = reference_scan_levels(recorded[pid], members, lb, ub, radius)
+            if levels is None and radius == 0:
+                levels = reference_walk(recorded[pid], members, lb, ub)
+        if levels is None:
+            skipped.append(pid)
+        else:
+            rows.append((pid, *levels))
+    return rows, tuple(skipped)
 
 
 SMALL_TOPOLOGY = ss.Topology(dc_count=1, agents_per_dc=(1,))
@@ -152,10 +198,10 @@ LEVEL_POOLS = {
 
 
 class TestAtSize:
-    """The radius-0 oracle and ``_record_counts`` against ``evaluate_batch``
-    and ``match_counts`` on stores too large for the per-candidate loop:
-    hundreds of products, ids in the bounds without records, repeated rows
-    and levels at the int64 limits."""
+    """The radius-0 oracle and the index's per-row counts against
+    ``evaluate_batch`` and ``match_counts`` on stores too large for the
+    per-candidate loop: hundreds of products, ids in the bounds without
+    records, repeated rows and levels at the int64 limits."""
 
     CASES = [
         # seed, periods, 3 or 7 members, pool, recorded ids, product_ub
@@ -196,17 +242,109 @@ class TestAtSize:
             evaluations=len(candidates),
             skipped_products=skipped,
         )
-        assert [hexes(fitness) for fitness in scored] == [hexes(want)]
+        # One score per distinct row, read by each record through its row,
+        # then the empty-match rows: the batch's scores, bit for bit.
+        rows, empty = scored
+        assert len(rows) == len(store._counts)
+        assert hexes(np.concatenate((rows.take(store._record_row), empty))) == hexes(want)
 
     @pytest.mark.parametrize("case", CASES)
     def test_record_counts_equal_match_counts(self, case):
         store, _ = self.build(*case)
         history = store.history
-        occ, t_stock = store._record_counts()
+        occ, t_stock = store._counts.take(store._record_row), store._sums.take(store._record_row)
         want_occ, want_t_stock = store.match_counts(history[:, 1], history[:, 2:], 0)
         assert occ.dtype == t_stock.dtype == np.int64
         assert occ.tolist() == want_occ.tolist()
         assert t_stock.tolist() == want_t_stock.tolist()
+
+
+class TestWholeIndexScan:
+    """The gap scan that ``enumerate_candidates`` runs once over the whole
+    index, against the per-product loops of ``reference_empty_rows``, on
+    random stores of many products: some recorded products lie outside the
+    bounds, some ids in the bounds have no records, narrow pools cover whole
+    boxes at radius 0, and levels lie at the int64 limits."""
+
+    NEAR_LIMITS = (-(2**62), 2**62)
+    CASES = [
+        # seed, periods, 3 or 7 members, pool, recorded ids, product_ub, radius, stock bounds
+        # and, where it is not 1, product_lb
+        (10, 3_000, 3, "covered", range(1, 200, 2), 250, 0, (-1, 1)),
+        (11, 6_000, 3, "covered", range(1, 60), 70, 0, (-1, 1)),
+        (12, 4_000, 7, "narrow", range(1, 400), 450, 0, (-3, 3)),
+        (13, 4_000, 7, "narrow", range(1, 400), 350, 1, (-3, 3)),
+        (14, 3_000, 3, "narrow", range(1, 300, 3), 320, 2, (-3, 3)),
+        (15, 3_000, 3, "narrow", range(1, 300, 3), 320, 1, (-2, 2)),
+        (16, 3_000, 7, "wide", range(1, 200), 150, 10, (-1000, 1000)),
+        (17, 3_000, 7, "wide", range(20, 200), 150, 400, (-900, 900)),
+        (23, 3_000, 3, "narrow", range(1, 300, 2), 200, 1, (-3, 3), 40),
+        (18, 3_000, 3, "int64", range(1, 100), 120, 0, (-(2**63), 2**62)),
+        (19, 3_000, 3, "int64", range(1, 100), 120, 1, (-(2**63) + 2048, 2**62)),
+        (20, 3_000, 3, "int64", range(1, 100), 120, 2**61, NEAR_LIMITS),
+        (21, 3_000, 7, "int64", range(1, 100), 120, 2**62 - 1, NEAR_LIMITS),
+        (22, 3_000, 3, "narrow", range(1, 100), 120, 2**62, (-3, 3)),
+    ]
+
+    @staticmethod
+    def build(seed, periods, members, pool, recorded, product_ub, radius, stock_bounds, product_lb=1):
+        topology = SMALL_TOPOLOGY if members == 3 else ss.Topology()
+        levels = list(LEVEL_POOLS[pool][0])
+        store = large_store(seed, periods, topology, levels, list(recorded), product_ub)
+        bounds = ss.Bounds(
+            product_lb=product_lb,
+            product_ub=product_ub,
+            stock_lb=stock_bounds[0],
+            stock_ub=stock_bounds[1],
+        )
+        return store, ss.PsoConfig(match_radius=radius, bounds=bounds)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_product_equals_reference(self, case):
+        store, cfg = self.build(*case)
+        rows, skipped = reference_empty_rows(store, cfg)
+        candidates, got_skipped = ss.enumerate_candidates(store, cfg)
+        assert candidates[: store.total_periods].tolist() == store.history[:, 1:].tolist()
+        assert [tuple(row) for row in candidates[store.total_periods :].tolist()] == rows
+        assert got_skipped == skipped
+        for row in rows:
+            assert ss.empty_match_candidate(store, row[0], cfg) == row
+        for pid in skipped:
+            assert ss.empty_match_candidate(store, pid, cfg) is None
+        if cfg.match_radius == 0:
+            assert ss.oracle_minimum(store, cfg).skipped_products == skipped
+
+    def test_cases_reach_every_rule(self):
+        # Across the cases some product takes each rule on member 1 and on a
+        # later member, some takes the box walk, and some has no vector.
+        seen = set()
+        for case in self.CASES:
+            store, cfg = self.build(*case)
+            lb, ub, radius = cfg.bounds.stock_lb, cfg.bounds.stock_ub, cfg.match_radius
+            members = store.topology.member_count
+            recorded = {}
+            for record in store.records:
+                recorded.setdefault(record.product_id, set()).add(record.levels)
+            for levels in recorded.values():
+                scanned = reference_scan(levels, members, lb, ub, radius)
+                if scanned is None:
+                    walked = reference_walk(levels, members, lb, ub) if radius == 0 else None
+                    seen.add("skipped" if walked is None else "walk")
+                else:
+                    dim, _, rule = scanned
+                    seen.add(("member 1" if dim == 0 else "later member", rule))
+        rules = {(member, rule) for member in ("member 1", "later member") for rule in ("lb", "gap", "ub")}
+        assert seen == rules | {"walk", "skipped"}
+
+    def test_bounds_are_checked_before_anything_is_sized_by_them(self, store):
+        # The fixture records products 1-5 and has raw-material rows for
+        # them only; a range over 10**12 ids would not fit in memory.
+        cfg = ss.PsoConfig(match_radius=0, bounds=ss.Bounds(product_ub=10**12))
+        message = "product 6 is inside the product bounds but has no raw-material rows"
+        with pytest.raises(MissingRawMaterial, match=f"^{message}$"):
+            ss.enumerate_candidates(store, cfg)
+        with pytest.raises(MissingRawMaterial, match=f"^{message}$"):
+            ss.oracle_minimum(store, cfg)
 
 
 class TestBruteForceBound:
