@@ -52,7 +52,7 @@ from .history import (
     StockLeadTimeRecord,
     load_store,
 )
-from .oracle import OracleResult, empty_match_candidate, enumerate_candidates, oracle_minimum
+from .oracle import OracleResult, enumerate_candidates, oracle_minimum
 from .recommend import Action, Recommendation, interpret, member_labels, render_report
 from .synth import SynthConfig, generate, write_fixtures
 
@@ -93,7 +93,6 @@ __all__ = [
     "render_report",
     # oracle
     "OracleResult",
-    "empty_match_candidate",
     "enumerate_candidates",
     "oracle_minimum",
     # synth

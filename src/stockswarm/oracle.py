@@ -5,12 +5,11 @@ whose stock vector equals its rounded vector exactly, so every reachable
 fitness value is hit by evaluating each record's own vector plus, per
 product, one vector that matches nothing.  The minimum over that candidate
 set is therefore a true lower bound on anything the swarm can return at
-radius 0.  A record's own vector matches the records of its distinct index
-row there, so the oracle scores each distinct row once, from the count and
-lead-time sum the index holds, and looks up only the vectors that match
-nothing.  At larger radii the enumeration is still a useful reference point
-but no longer an exhaustive bound, since partial overlaps of several record
-boxes become reachable.
+radius 0.  At larger radii the enumeration is still a useful reference
+point but no longer an exhaustive bound, since partial overlaps of several
+record boxes become reachable.  Records with equal vectors share one
+distinct index row and so one fitness at every radius, and the oracle
+scores each distinct row once.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ import numpy as np
 
 from .domain import INT64_MAX, INT64_MIN
 from .engine import FitnessEvaluator, PsoConfig, _bounded_product_ids, _check_log_domain
-from .errors import ConfigError
-from .history import HistoryStore, _int64_array, _key_order
+from .history import HistoryStore, _key_order
 
-__all__ = ["OracleResult", "empty_match_candidate", "enumerate_candidates", "oracle_minimum"]
+__all__ = ["OracleResult", "enumerate_candidates", "oracle_minimum"]
 
 
 @dataclass(frozen=True)
@@ -148,16 +146,6 @@ def _first_free_vector(rows: np.ndarray, lb: int, ub: int) -> list[int] | None:
     return vector(low) if low < width**members else None
 
 
-def empty_match_candidate(
-    store: HistoryStore, product_id: int, config: PsoConfig
-) -> tuple[int, ...] | None:
-    """A stock vector for ``product_id`` that matches zero records, or None:
-    the whole-index gap scan of ``enumerate_candidates`` for one product.
-    An id that is not an int64 integer raises ConfigError."""
-    vectors, found = _gap_scan(store, config, _int64_array([product_id], ConfigError, "product id"))
-    return tuple(vectors[0].tolist()) if found[0] else None
-
-
 def _empty_match_rows(
     store: HistoryStore, config: PsoConfig
 ) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -188,6 +176,7 @@ def enumerate_candidates(
     Rows are every record's own vector in TID order, then one empty-match
     vector per product id the swarm can round to (the bounded integer range
     united with the products actually on record), ascending.
+    ``oracle_minimum`` scores the same candidates without this matrix.
     """
     empty, skipped = _empty_match_rows(store, config)
     return np.vstack([store.history[:, 1:], empty]), skipped
@@ -198,37 +187,35 @@ def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
     keep the earliest candidate, so the result is deterministic and
     independent of any seed.
 
-    At radius 0 no candidate matrix is built.  The records sharing a
-    distinct index row share its count, lead-time sum and product, so one
+    No candidate matrix is built.  The records sharing a distinct index row
+    share its vector, so they share its fitness at every radius: one
     ``score`` call scores each distinct row once and the records read their
     fitness through ``_record_row``; the earliest minimum among them is the
-    earliest record in TID order.  The empty-match rows go through
+    earliest record in TID order.  At radius 0 a row's P(occ) and t_stock
+    are its count and lead-time sum; otherwise ``match_counts`` gives them,
+    with the rows as queries in key order.  The empty-match rows go through
     ``match_counts`` and a second ``score`` call, and win only when strictly
-    lower, since records come first.  A larger radius scores the matrix with
-    one ``evaluate_batch`` call.
+    lower, since records come first.
     """
     _check_log_domain(store, config)
-    if config.match_radius:
-        candidates, skipped = enumerate_candidates(store, config)
-        fitness = FitnessEvaluator(store, config).evaluate_batch(candidates)
-        best = int(np.argmin(fitness))  # argmin takes the earliest on ties
-        position, best_fitness, evaluations = candidates[best], fitness[best], len(candidates)
+    empty, skipped = _empty_match_rows(store, config)
+    evaluator, radius = FitnessEvaluator(store, config), config.match_radius
+    pids = np.repeat(store._products, np.diff(store._row_starts))
+    if radius:
+        occ, t_stock = store.match_counts(pids, store._rows, radius)
     else:
-        empty, skipped = _empty_match_rows(store, config)
-        evaluator = FitnessEvaluator(store, config)
-        pids = np.repeat(store._products, np.diff(store._row_starts))
-        fitness = evaluator.score(pids, store._counts, store._sums).take(store._record_row)
-        best = int(np.argmin(fitness))
-        position, best_fitness = store.history[best, 1:], fitness[best]
-        occ, t_stock = store.match_counts(empty[:, 0], empty[:, 1:], 0)
-        empty_fitness = evaluator.score(empty[:, 0], occ, t_stock)
-        if len(empty) and empty_fitness.min() < best_fitness:
-            best = int(np.argmin(empty_fitness))
-            position, best_fitness = empty[best], empty_fitness[best]
-        evaluations = store.total_periods + len(empty)
+        occ, t_stock = store._counts, store._sums
+    fitness = evaluator.score(pids, occ, t_stock).take(store._record_row)
+    best = int(np.argmin(fitness))  # argmin takes the earliest on ties
+    position, best_fitness = store.history[best, 1:], fitness[best]
+    occ, t_stock = store.match_counts(empty[:, 0], empty[:, 1:], radius)
+    empty_fitness = evaluator.score(empty[:, 0], occ, t_stock)
+    if len(empty) and empty_fitness.min() < best_fitness:
+        best = int(np.argmin(empty_fitness))
+        position, best_fitness = empty[best], empty_fitness[best]
     return OracleResult(
         best_position=tuple(position.tolist()),
         best_fitness=float(best_fitness),
-        evaluations=evaluations,
+        evaluations=store.total_periods + len(empty),
         skipped_products=skipped,
     )

@@ -89,15 +89,21 @@ def generate(config: SynthConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np
     n, l = config.periods, config.topology.member_count
     low = np.array([1] + [config.stock_lb] * l, dtype=np.int64)
     high = np.array([config.products] + [config.stock_ub] * l, dtype=np.int64)
-    drawn = rng.integers(low, high, size=(n, l + 1), endpoint=True)
-    times = rng.integers(config.link_time_lb, config.link_time_ub, size=(n, l - 1), endpoint=True)
-    tids = np.arange(1, n + 1, dtype=np.int64)[:, None]
+    # Each draw is copied in after its table's TIDs and freed before the
+    # next table is made, so no two draws are alive at once.
+    history = np.empty((n, l + 2), dtype=np.int64)
+    history[:, 0] = np.arange(1, n + 1)
+    history[:, 1:] = rng.integers(low, high, size=(n, l + 1), endpoint=True)
+    lead = np.empty((n, l), dtype=np.int64)
+    lead[:, 0] = history[:, 0]
+    links = (config.link_time_lb, config.link_time_ub)
+    lead[:, 1:] = rng.integers(*links, size=(n, l - 1), endpoint=True)
     raw = []
     for pid in range(1, config.products + 1):  # each count decides the next draws
         count = int(rng.integers(2, _MAX_RAW_MATERIALS, endpoint=True))
         raw_times = rng.integers(config.raw_time_lb, config.raw_time_ub, size=count, endpoint=True)
         raw.append(np.column_stack([np.full(count, pid), np.arange(1, count + 1), raw_times]))
-    return np.hstack([tids, drawn]), np.hstack([tids, times]), np.concatenate(raw)
+    return history, lead, np.concatenate(raw)
 
 
 def write_fixtures(config: SynthConfig, seed: int, out_dir: str | Path) -> dict[str, Path]:

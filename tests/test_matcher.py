@@ -399,11 +399,7 @@ class TestQueriesOutsideInt64:
                 store.match_counts(pid, levels, radius)
             with pytest.raises(ConfigError, match="int64"):
                 store.match_individual(pid, levels[0], radius)
-            with pytest.raises(ConfigError, match="int64"):
-                ss.empty_match_candidate(store, pid, ss.PsoConfig(match_radius=radius))
         assert store.match_individual(3.0, levels[0], radius).tolist() == [1]
-        cfg = ss.PsoConfig(match_radius=radius)
-        assert ss.empty_match_candidate(store, 3.0, cfg) == ss.empty_match_candidate(store, 3, cfg)
 
     def test_match_counts_accepts_integral_floats(self, store):
         occ, t_stock = store.match_counts(3, np.array([[632.0, 424, 247, -298, -115, 365, 961]]), 0)

@@ -11,6 +11,7 @@ from test_matcher import hexes, reference_fitness
 import stockswarm as ss
 from stockswarm.domain import INT64_MAX
 from stockswarm.errors import ConfigError, MissingRawMaterial
+from stockswarm.oracle import _gap_scan
 
 
 def reference_oracle(store, config):
@@ -38,6 +39,19 @@ def reference_empty_vector(store, product_id, lb, ub):
     return None if levels is None else (product_id, *levels)
 
 
+def scanned_row(store, product_id, config):
+    """``_gap_scan``'s ``(PI, F1..Fl)`` row for one product, or None."""
+    vectors, found = _gap_scan(store, config, np.array([product_id], dtype=np.int64))
+    return tuple(vectors[0].tolist()) if found[0] else None
+
+
+def empty_rows(store, config):
+    """The empty-match rows of ``enumerate_candidates``, as tuples, and the
+    ids without one."""
+    candidates, skipped = ss.enumerate_candidates(store, config)
+    return [tuple(row) for row in candidates[store.total_periods :].tolist()], skipped
+
+
 def reference_walk(recorded, members, lb, ub):
     """The first levels of the box ``[lb, ub]`` in lexicographic order that
     are not in the set ``recorded``, or None."""
@@ -48,7 +62,7 @@ def reference_walk(recorded, members, lb, ub):
 
 
 def reference_gap_scan(store, product_id, lb, ub, radius):
-    """The per-dimension scan of ``empty_match_candidate`` in Python ints:
+    """The per-dimension scan of ``_gap_scan`` in Python ints:
     on the first dimension that has one, the lower bound, else the lowest
     gap wider than ``2 * radius + 1`` between the recorded values near the
     box, else the upper bound; or None when no dimension has one."""
@@ -198,10 +212,10 @@ LEVEL_POOLS = {
 
 
 class TestAtSize:
-    """The radius-0 oracle and the index's per-row counts against
-    ``evaluate_batch`` and ``match_counts`` on stores too large for the
-    per-candidate loop: hundreds of products, ids in the bounds without
-    records, repeated rows and levels at the int64 limits."""
+    """The oracle and the index's per-row counts against ``evaluate_batch``
+    and ``match_counts`` on stores too large for the per-candidate loop:
+    hundreds of products, ids in the bounds without records, repeated rows
+    and levels at the int64 limits."""
 
     CASES = [
         # seed, periods, 3 or 7 members, pool, recorded ids, product_ub
@@ -215,26 +229,35 @@ class TestAtSize:
     ]
 
     @staticmethod
-    def build(seed, periods, members, pool, recorded, product_ub):
+    def build(seed, periods, members, pool, recorded, product_ub, radius=0):
         topology = SMALL_TOPOLOGY if members == 3 else ss.Topology()
         levels, (stock_lb, stock_ub) = LEVEL_POOLS[pool]
+        if radius and pool == "int64":  # the box widened by the radius must fit int64
+            stock_lb, stock_ub = -(2**62), 2**61
         store = large_store(seed, periods, topology, list(levels), list(recorded), product_ub)
         bounds = ss.Bounds(product_ub=product_ub, stock_lb=stock_lb, stock_ub=stock_ub)
-        return store, ss.PsoConfig(match_radius=0, bounds=bounds)
+        return store, ss.PsoConfig(match_radius=radius, bounds=bounds)
 
+    @pytest.mark.parametrize("radius", [0, 1, 3, 100, 2**62])
     @pytest.mark.parametrize("case", CASES)
-    def test_oracle_equals_batch_argmin(self, case, monkeypatch):
-        store, cfg = self.build(*case)
+    def test_oracle_equals_batch_argmin(self, case, radius, monkeypatch):
+        store, cfg = self.build(*case, radius)
         candidates, skipped = ss.enumerate_candidates(store, cfg)
         want = ss.FitnessEvaluator(store, cfg).evaluate_batch(candidates)
         best = int(np.argmin(want))
         scored, score = [], ss.FitnessEvaluator.score
+        radii, match_counts = [], ss.HistoryStore.match_counts
 
         def recorded_score(*args):
             scored.append(score(*args))
             return scored[-1]
 
+        def recorded_match_counts(store, product_ids, queries, match_radius):
+            radii.append(match_radius)
+            return match_counts(store, product_ids, queries, match_radius)
+
         monkeypatch.setattr(ss.FitnessEvaluator, "score", recorded_score)
+        monkeypatch.setattr(ss.HistoryStore, "match_counts", recorded_match_counts)
         got = ss.oracle_minimum(store, cfg)
         assert got == ss.OracleResult(
             best_position=tuple(candidates[best].tolist()),
@@ -243,10 +266,13 @@ class TestAtSize:
             skipped_products=skipped,
         )
         # One score per distinct row, read by each record through its row,
-        # then the empty-match rows: the batch's scores, bit for bit.
+        # then the empty-match rows: the batch's scores, bit for bit.  Every
+        # match is counted at the configured radius; at radius 0 the rows'
+        # counts are the index's own.
         rows, empty = scored
         assert len(rows) == len(store._counts)
         assert hexes(np.concatenate((rows.take(store._record_row), empty))) == hexes(want)
+        assert radii == [radius] * (2 if radius else 1)
 
     @pytest.mark.parametrize("case", CASES)
     def test_record_counts_equal_match_counts(self, case):
@@ -307,10 +333,11 @@ class TestWholeIndexScan:
         assert candidates[: store.total_periods].tolist() == store.history[:, 1:].tolist()
         assert [tuple(row) for row in candidates[store.total_periods :].tolist()] == rows
         assert got_skipped == skipped
+        # Each product scanned alone gets the row of the whole-index pass.
         for row in rows:
-            assert ss.empty_match_candidate(store, row[0], cfg) == row
+            assert scanned_row(store, row[0], cfg) == row
         for pid in skipped:
-            assert ss.empty_match_candidate(store, pid, cfg) is None
+            assert scanned_row(store, pid, cfg) is None
         if cfg.match_radius == 0:
             assert ss.oracle_minimum(store, cfg).skipped_products == skipped
 
@@ -386,7 +413,7 @@ class TestBruteForceBound:
             bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-1, stock_ub=1),
             priorities=ss.PriorityConfig(0.0, 1.0, 1.0),
         )
-        assert ss.empty_match_candidate(store, 1, cfg) == (1, -1, -1, 0)
+        assert empty_rows(store, cfg) == ([(1, -1, -1, 0)], ())
         result = ss.oracle_minimum(store, cfg)
         assert result.skipped_products == ()
         assert result.best_position == (1, -1, -1, 0)
@@ -419,9 +446,9 @@ class TestBruteForceBound:
         cfg = ss.PsoConfig(
             match_radius=0, bounds=ss.Bounds(product_lb=1, product_ub=2, stock_lb=lb, stock_ub=ub)
         )
-        for pid in (1, 2):
-            want = reference_empty_vector(store, pid, lb, ub)
-            assert ss.empty_match_candidate(store, pid, cfg) == want
+        want = [reference_empty_vector(store, pid, lb, ub) for pid in (1, 2)]
+        skipped = tuple(pid for pid, row in zip((1, 2), want) if row is None)
+        assert empty_rows(store, cfg) == ([row for row in want if row is not None], skipped)
 
     def test_fully_recorded_box_skips_product(self):
         vectors = list(itertools.product((0, 1), repeat=3))
@@ -431,7 +458,7 @@ class TestBruteForceBound:
         cfg = ss.PsoConfig(
             match_radius=0, bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=0, stock_ub=1)
         )
-        assert ss.empty_match_candidate(store, 1, cfg) is None
+        assert empty_rows(store, cfg) == ([], (1,))
         result = ss.oracle_minimum(store, cfg)
         assert result.skipped_products == (1,)
         assert result.evaluations == 8
@@ -447,7 +474,7 @@ class TestBruteForceBound:
             match_radius=0,
             bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-far, stock_ub=far),
         )
-        assert ss.empty_match_candidate(store, 1, cfg) == (1, -far, 0, 0)
+        assert empty_rows(store, cfg) == ([(1, -far, 0, 0)], ())
         result = ss.oracle_minimum(store, cfg)
         assert result.skipped_products == ()
         assert result.best_position == (1, -far, 0, 0)
@@ -478,7 +505,7 @@ class TestBruteForceBound:
                 match_radius=radius,
                 bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=stock_lb, stock_ub=stock_ub),
             )
-            assert ss.empty_match_candidate(store, 1, cfg) == want
+            assert empty_rows(store, cfg) == ([want], ())
             assert reference_gap_scan(store, 1, stock_lb, stock_ub, radius) == want
             assert len(store.match_individual(1, want[1:], radius)) == 0
 
@@ -506,7 +533,7 @@ class TestBruteForceBound:
             assume(False)
         for pid in store.products:
             want = reference_gap_scan(store, pid, lb, ub, radius)
-            got = ss.empty_match_candidate(store, pid, cfg)
+            got = scanned_row(store, pid, cfg)
             if want is not None or radius > 0:  # at radius 0 a covered box is walked instead
                 assert got == want
 
@@ -579,7 +606,7 @@ class TestTieRule:
             bounds=ss.Bounds(product_lb=1, product_ub=2, stock_lb=-9, stock_ub=9),
             priorities=ss.PriorityConfig(0.0, 1.0, 1.0),
         )
-        empty = ss.empty_match_candidate(store, 2, cfg)
+        (_, empty), _ = empty_rows(store, cfg)  # products 1 and 2
         evaluator = ss.FitnessEvaluator(store, cfg)
         assert evaluator.evaluate(empty) == evaluator.evaluate([2, 4, 4, 4])
         result = ss.oracle_minimum(store, cfg)
@@ -587,21 +614,21 @@ class TestTieRule:
         assert result == reference_oracle(store, cfg)
 
 
-class TestEmptyMatchCandidate:
-    def test_candidates_match_nothing(self, store):
+class TestEmptyMatchRows:
+    def test_rows_match_nothing(self, store):
         for radius in (0, 1, 100):
             cfg = ss.PsoConfig(match_radius=radius)
-            for pid in store.products:
-                candidate = ss.empty_match_candidate(store, pid, cfg)
-                assert candidate is not None
-                assert candidate[0] == pid
-                assert len(store.match_individual(pid, candidate[1:], radius)) == 0
+            rows, skipped = empty_rows(store, cfg)
+            assert skipped == ()
+            assert [row[0] for row in rows] == list(store.products)
+            for row in rows:
+                assert len(store.match_individual(row[0], row[1:], radius)) == 0
 
-    def test_unknown_product_gets_trivial_candidate(self, store):
+    def test_unknown_product_gets_trivial_row(self, store):
         cfg = ss.PsoConfig(match_radius=0, bounds=ss.Bounds(product_ub=9))
-        candidate = ss.empty_match_candidate(store, 9, cfg)
-        assert candidate is not None
-        assert len(store.match_individual(9, candidate[1:], 0)) == 0
+        row = scanned_row(store, 9, cfg)
+        assert row is not None
+        assert len(store.match_individual(9, row[1:], 0)) == 0
 
     def test_records_below_the_box_leave_its_edge_free(self):
         history = [(1, 1, (-5, 0, 0)), (2, 1, (10, 0, 0))]
@@ -610,7 +637,7 @@ class TestEmptyMatchCandidate:
         cfg = ss.PsoConfig(
             match_radius=0, bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-3, stock_ub=3)
         )
-        assert ss.empty_match_candidate(store, 1, cfg) == (1, -3, 0, 0)
+        assert empty_rows(store, cfg) == ([(1, -3, 0, 0)], ())
 
     def test_records_above_the_box_open_no_gap(self):
         # Member 1 covers the box [-1, 1]; the gap up to 5 lies outside it,
@@ -621,7 +648,7 @@ class TestEmptyMatchCandidate:
         cfg = ss.PsoConfig(
             match_radius=0, bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-1, stock_ub=1)
         )
-        assert ss.empty_match_candidate(store, 1, cfg) == (1, 0, -1, 0)
+        assert empty_rows(store, cfg) == ([(1, 0, -1, 0)], ())
         result = ss.oracle_minimum(store, cfg)
         assert result.best_position == (1, 0, -1, 0)
         assert result == reference_oracle(store, cfg)
@@ -634,7 +661,7 @@ class TestEmptyMatchCandidate:
             match_radius=2,
             bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-2, stock_ub=2),
         )
-        assert ss.empty_match_candidate(store, 1, cfg) is None
+        assert empty_rows(store, cfg) == ([], (1,))
 
 
 class TestEnumeration:
