@@ -95,7 +95,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     settings, topology, store, paths = _load(args)
     config = build_pso_config(settings, seed=args.seed)
-    result = run(store, topology, config)
+    try:
+        result = run(store, topology, config)
+    except MemoryError:
+        print(
+            f"error: a swarm of {config.swarm_size} particles does not fit in memory",
+            file=sys.stderr,
+        )
+        return 3
     recommendation = interpret(
         result.best_position,
         topology,

@@ -20,6 +20,7 @@ r1/r2 values), so runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -282,23 +283,35 @@ def pso_step(
     ``r1`` and ``r2`` hold draws in [0, 1) that broadcast against the rows:
     scalars, (n, 1) columns, or (n, d) matrices for per-dimension draws.
     Returns new (positions, velocities) arrays; the inputs are not changed.
+    The terms are added in place, in the order of the formula, so every
+    value is the one the formula gives.
     """
-    member_count = positions.shape[-1] - 1
-    bounds = config.bounds
-    v_min, v_max = bounds.velocity_limits(member_count)
-    velocities = np.clip(
-        w * velocities
-        + config.c1 * r1 * (pbest_positions - positions)
-        + config.c2 * r2 * (gbest_position - positions),
-        v_min,
-        v_max,
-    )
-    positions = np.clip(
-        positions + velocities,
+    v_min, v_max, lower, upper = _step_limits(config.bounds, positions.shape[-1] - 1)
+    velocities = w * velocities
+    pull = pbest_positions - positions
+    pull *= config.c1 * r1
+    velocities += pull
+    np.subtract(gbest_position, positions, out=pull)
+    pull *= config.c2 * r2
+    velocities += pull
+    velocities.clip(v_min, v_max, out=velocities)
+    positions = positions + velocities
+    positions.clip(lower, upper, out=positions)
+    return positions, velocities
+
+
+@functools.lru_cache(maxsize=16)
+def _step_limits(bounds: Bounds, member_count: int) -> tuple[np.ndarray, ...]:
+    """The velocity limits and the position box of ``pso_step``, built once
+    per bounds and chain size, read-only."""
+    limits = (
+        *bounds.velocity_limits(member_count),
         bounds.position_lower(member_count),
         bounds.position_upper(member_count),
     )
-    return positions, velocities
+    for array in limits:
+        array.flags.writeable = False
+    return limits
 
 
 def _check_log_domain(store: HistoryStore, config: PsoConfig) -> None:
@@ -365,16 +378,22 @@ def run(
 
     Stops after ``max_iterations`` rounds, or earlier when ``stall_window``
     is positive and gbest has not improved for that many consecutive rounds.
+    A swarm whose (swarm_size, d) float64 matrices pass numpy's array size
+    limit raises ConfigError.
     """
     if topology != store.topology:
         raise DimensionMismatch(
             f"store was built for topology {store.topology}, run got {topology}"
         )
+    n, d = config.swarm_size, dimension(topology)
+    if n * d * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(
+            f"swarm_size {n} by dimension {d} float64 matrices pass numpy's array size limit"
+        )
     _check_log_domain(store, config)
 
     evaluator = FitnessEvaluator(store, config)
     rng = np.random.default_rng(config.seed)
-    n, d = config.swarm_size, dimension(topology)
 
     positions, velocities = draw_swarm(config, topology, rng)
     fitness = evaluator.evaluate_batch(positions)

@@ -251,9 +251,9 @@ class HistoryStore:
         occ, t_stock = np.zeros((2, len(queries)), dtype=np.int64)
         for query, row in self._window_hits(pids, queries, radius):
             if len(row):  # queries ascend, so each query's pairs are one run
-                first = np.append(0, np.flatnonzero(query[1:] != query[:-1]) + 1)
-                occ[query[first]] += np.add.reduceat(self._counts[row], first)
-                t_stock[query[first]] += np.add.reduceat(self._sums[row], first)
+                first = np.append(0, (query[1:] != query[:-1]).nonzero()[0] + 1)
+                occ[query.take(first)] += np.add.reduceat(self._counts.take(row), first)
+                t_stock[query.take(first)] += np.add.reduceat(self._sums.take(row), first)
         return occ, t_stock
 
     def match_individual(
@@ -311,70 +311,78 @@ class HistoryStore:
             )
         return pids if pids.shape == (len(queries),) else np.full(len(queries), pids)
 
-    def _windows(self, pids: np.ndarray, low: np.ndarray, high: np.ndarray):
+    def _windows(self, pids: np.ndarray, low: np.ndarray, span: np.ndarray):
         """Start and stop, in the distinct rows, of each product's rows whose
-        member 1 lies in ``[low, high]``.  They lie between the keys of
-        ``(PI, low, INT64_MIN, ...)`` and ``(PI, high, INT64_MAX, ...)``, both
+        member 1 lies in ``[low, low + span]``, bounds given as uint64 views
+        of int64 levels.  They lie between the keys of ``(PI, low,
+        INT64_MIN, ...)`` and ``(PI, low + span, INT64_MAX, ...)``, both
         included; a product without records gets an empty range."""
-        edge = np.full((len(pids), self._rows.shape[1] + 1), INT64_MIN, dtype=np.int64)
-        edge[:, 0], edge[:, 1] = pids, low
-        lo = np.searchsorted(self._keys, _numeric_keys(edge), side="left")
-        edge[:, 1], edge[:, 2:] = high, INT64_MAX
-        return lo, np.searchsorted(self._keys, _numeric_keys(edge), side="right")
+        n = len(pids)
+        edge = np.empty((2 * n, self._rows.shape[1] + 1), dtype=np.int64)
+        edge[:n, 2:], edge[n:, 2:] = INT64_MIN, INT64_MAX
+        edge[:n, 0] = edge[n:, 0] = pids
+        edge[:n, 1], edge[n:, 1] = low.view(np.int64), (low + span).view(np.int64)
+        keys = _numeric_keys(edge)
+        return self._keys.searchsorted(keys[:n]), self._keys.searchsorted(keys[n:], "right")
 
     def _window_hits(self, pids: np.ndarray, queries: np.ndarray, radius: int):
         """Yield, a chunk at a time, (query, row) index pairs where a
         distinct row of a query's product lies within ``radius`` of the
-        query on every member.
+        query on every member, both ascending by query.
 
         A query's candidates are the rows of its product's block whose
         member 1 lies in its window ``[q1 - radius, q1 + radius]``, found
         by ``_windows``.  The windows of the batch are laid end to end and
         gathered ``_GATHER_ELEMENTS`` rows at a time, so one query with a
-        large window is split too.  Each gathered row is compared with its
-        query's bounds, repeated along the window, in one mask over the
-        members.  Member 2 rejects most rows when hits are rare, so the
-        rows that fail it are dropped before the remaining members are
-        tested.  Those share the mask: in a wide window most rows pass
-        every member, and dropping rows again would cost more than it
-        saves.
+        large window is split too; ``cuts`` marks where each query's rows
+        start and end among the chunk's rows.  Each member takes one
+        unsigned range test, ``level - low <= span`` (``_saturated_bounds``),
+        against its query's bounds repeated along those rows.  The rows that
+        fail member 2 are dropped, and again those that fail member 3:
+        when hits are rare each test leaves few rows for the next.  Members
+        4..l share one mask.  Dropping rows maps the cuts with one search
+        among the survivors.
         """
-        low, high = _saturated_bounds(queries, radius)
-        lo, hi = self._windows(pids, low[:, 0], high[:, 0])
-        low, high, sizes = low.T.copy(), high.T.copy(), hi - lo
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        total = int(ends[-1]) if len(ends) else 0
-        rows, members = self._rows, queries.shape[1]
+        low, span = _saturated_bounds(queries.T.copy(), radius)  # a row per member
+        lo, hi = self._windows(pids, low[0], span[0])
+        edges = np.append(0, (hi - lo).cumsum())  # each query's window positions, end to end
+        shift = lo - edges[:-1]  # a window position plus its query's shift is its row
+        rows, members, total = self._rows.T.view(np.uint64), len(low), int(edges[-1])
         for start in range(0, total, _GATHER_ELEMENTS):
             stop = min(start + _GATHER_ELEMENTS, total)
-            # the queries whose windows overlap positions [start, stop)
-            a, b = np.searchsorted(ends, start, side="right"), np.searchsorted(starts, stop)
-            parts = np.minimum(ends[a:b], stop) - np.maximum(starts[a:b], start)
-            row = np.arange(start, stop) + np.repeat(lo[a:b] - starts[a:b], parts)
-            keep = np.ones(len(row), dtype=bool)
+            # the queries a..b-1 whose windows overlap positions [start, stop)
+            a, b = edges.searchsorted(start, "right") - 1, edges.searchsorted(stop)
+            cuts = edges[a : b + 1] - start
+            cuts[0], cuts[-1] = 0, stop - start
+            parts = cuts[1:] - cuts[:-1]
+            row = np.arange(start, stop) + shift[a:b].repeat(parts)
             for member in range(1, members):
-                level = rows[:, member].take(row)
-                keep &= level >= np.repeat(low[member, a:b], parts)
-                keep &= level <= np.repeat(high[member, a:b], parts)
-                if member == 1:  # keep the rows that passed, and count them per query
-                    kept = np.flatnonzero(keep)
-                    parts = np.diff(np.searchsorted(kept, np.append(0, np.cumsum(parts))))
-                    row, keep = row.take(kept), np.ones(len(kept), dtype=bool)
-            yield np.repeat(np.arange(a, b), parts)[keep], row[keep]
+                level = rows[member].take(row)
+                level -= low[member, a:b].repeat(parts)
+                passed = level <= span[member, a:b].repeat(parts)
+                keep = passed if member <= 3 else keep & passed  # members 4..l: one mask
+                if member < 3 or member == members - 1:  # after members 2, 3 and l
+                    kept = keep.nonzero()[0]
+                    row, cuts = row.take(kept), kept.searchsorted(cuts)
+                    parts = cuts[1:] - cuts[:-1]
+            yield np.arange(a, b).repeat(parts), row
 
 
 def _saturated_bounds(queries: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """``queries - radius`` and ``queries + radius``, saturated at the int64
-    limits.  The box test compares levels with them and never subtracts a
-    query from a level, so nothing wraps."""
-    # Flipping the sign bit maps int64 onto uint64 in order.
-    sign = np.uint64(2**63)
-    shifted = queries.view(np.uint64) ^ sign
+    """``low``, ``queries - radius`` saturated at the int64 minimum, and
+    ``span``, the width of ``[low, queries + radius]`` saturated at the int64
+    maximum, as uint64 views.  A level lies in that range exactly when
+    ``level - low <= span`` in uint64 (Warren, *Hacker's Delight*, 4-1): the
+    difference wraps modulo 2**64 and below ``low`` comes out past ``span``."""
+    # Flipping the sign bit maps int64 onto uint64 in order; below and
+    # above the query, the radius stops at either end of that order.
+    bits = queries.view(np.uint64)
+    shifted = bits ^ np.uint64(2**63)
     r = np.uint64(min(radius, 2**64 - 1))
-    low = ((shifted - np.minimum(shifted, r)) ^ sign).view(np.int64)
-    high = ((shifted + np.minimum(~shifted, r)) ^ sign).view(np.int64)
-    return low, high
+    below = np.minimum(shifted, r)
+    span = np.minimum(~shifted, r)
+    span += below
+    return bits - below, span  # shifted - below, its sign bit flipped back
 
 
 def _numeric_keys(matrix: np.ndarray) -> np.ndarray:

@@ -181,6 +181,32 @@ class TestOptimizeCommand:
         assert code == 3
         assert "lead-time priorities" in capsys.readouterr().err
 
+    def test_swarm_past_numpy_size_limit_exit_3(self, tmp_path, capsys):
+        # 2**62 particles by 8 dimensions of 8 bytes pass the limit; run
+        # refuses them before it allocates anything
+        conf = tmp_path / "huge.conf"
+        conf.write_text(f"swarm_size = {2**62}\n")
+        code = main(["optimize", "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: swarm_size {2**62} by dimension 8 float64 matrices pass numpy's array size limit\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_swarm_out_of_memory_exit_3(self, tmp_path, monkeypatch, capsys):
+        def exhausted(config, topology, rng):
+            raise MemoryError
+
+        monkeypatch.setattr("stockswarm.engine.draw_swarm", exhausted)
+        conf = tmp_path / "big.conf"
+        conf.write_text("swarm_size = 100000000000\n")
+        code = main(["optimize", "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: a swarm of 100000000000 particles does not fit in memory\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_exit_3(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("swarms = 10\n")

@@ -6,6 +6,8 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import stockswarm as ss
 from stockswarm.errors import (
@@ -362,6 +364,35 @@ class TestUpdateArithmetic:
         ss.pso_step(position, velocity, position + 1, position[0] - 1, 0.9, 0.5, 0.5, ss.PsoConfig())
         assert position.tolist() == [[3.0, 0.0]] and velocity.tolist() == [[0.0, 1.0]]
 
+    @given(
+        n=st.integers(1, 6),
+        draws=st.sampled_from(["scalar", "column", "matrix"]),
+        c=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)).filter(lambda c: c[0] + c[1] > 0),
+        w=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_textbook_formula_bitwise(self, n, draws, c, w, data):
+        # pso_step adds its terms in place; each value must be the one the
+        # formula, evaluated left to right, gives
+        d, config = 8, ss.PsoConfig(c1=c[0], c2=c[1])
+        lower, upper = config.bounds.position_lower(d - 1), config.bounds.position_upper(d - 1)
+        v_min, v_max = config.bounds.velocity_limits(d - 1)
+        inside = hnp.arrays(np.float64, (n, d), elements=st.floats(-1000.0, 1000.0))
+        x, pb = (np.clip(data.draw(inside), lower, upper) for _ in range(2))
+        g = pb[data.draw(st.integers(0, n - 1))].copy()
+        v = np.clip(data.draw(inside), v_min, v_max)
+        shape = {"scalar": (), "column": (n, 1), "matrix": (n, d)}[draws]
+        unit = hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0, exclude_max=True))
+        r1, r2 = data.draw(unit), data.draw(unit)
+        if draws == "scalar":
+            r1, r2 = float(r1), float(r2)
+        want_v = np.clip(w * v + c[0] * r1 * (pb - x) + c[1] * r2 * (g - x), v_min, v_max)
+        want_x = np.clip(x + want_v, lower, upper)
+        got_x, got_v = ss.pso_step(x, v, pb, g, w, r1, r2, config)
+        assert [a.hex() for a in got_v.ravel()] == [a.hex() for a in want_v.ravel()]
+        assert [a.hex() for a in got_x.ravel()] == [a.hex() for a in want_x.ravel()]
+
 
 class TestInitSwarm:
     def test_size_and_dimension(self, topology):
@@ -503,6 +534,21 @@ class TestRun:
         cfg = ss.PsoConfig(priorities=ss.PriorityConfig(5, 5, 0))
         with pytest.raises(LogDomainError):
             ss.run(store, topology, cfg)
+
+    def test_run_refuses_swarm_past_numpy_size_limit(self, store, topology, monkeypatch):
+        # (swarm_size, 8) float64 matrices may hold at most intp-max bytes;
+        # one particle more is refused before anything is allocated, and the
+        # largest size that fits reaches draw_swarm, stubbed here
+        def reached(config, topology, rng):
+            raise MemoryError(config.swarm_size)
+
+        monkeypatch.setattr(ss.engine, "draw_swarm", reached)
+        largest = np.iinfo(np.intp).max // (8 * 8)
+        for size in (2**62, largest + 1):
+            with pytest.raises(ConfigError, match=f"swarm_size {size} by dimension 8 float64"):
+                ss.run(store, topology, ss.PsoConfig(swarm_size=size))
+        with pytest.raises(MemoryError, match=str(largest)):
+            ss.run(store, topology, ss.PsoConfig(swarm_size=largest))
 
     def test_per_dimension_r_changes_draws_but_stays_valid(self, store, topology):
         base = dict(swarm_size=6, max_iterations=10, seed=4, match_radius=100)

@@ -55,7 +55,15 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
-SMALL_TOPOLOGY = ss.Topology(dc_count=1, agents_per_dc=(1,))
+# Chain sizes by member count: a factory-only chain, where the member-1
+# window alone decides a match; 3 members, where members 2 and 3 each drop
+# rows; and the default 7, where members 4..7 also share one mask.
+TOPOLOGIES = {
+    1: ss.Topology(dc_count=0, agents_per_dc=()),
+    3: ss.Topology(dc_count=1, agents_per_dc=(1,)),
+    7: ss.Topology(),
+}
+SMALL_TOPOLOGY = TOPOLOGIES[3]
 # Levels span [-3, 3], so radius 6 covers the whole stock range.
 RADII = [0, 1, 6]
 # Edge stores hold levels at and next to the int64 limits, where the window
@@ -66,27 +74,39 @@ EDGE_LEVELS = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**6
 
 
 @st.composite
-def small_stores(draw, level=st.integers(min_value=-3, max_value=3)):
-    """A 3-member store whose records use products 1..4 only; product 5
-    and any product the draw leaves out have raw rows but no records."""
-    levels = st.tuples(*[level] * 3)
+def small_stores(draw, level=st.integers(min_value=-3, max_value=3), members=3):
+    """A store of ``members`` members whose records use products 1..4 only;
+    product 5 and any product the draw leaves out have raw rows but no
+    records."""
+    levels = st.tuples(*[level] * members)
     rows = draw(
         st.lists(st.tuples(st.integers(min_value=1, max_value=4), levels), min_size=1, max_size=12)
     )
     history = [(tid, pid, lv) for tid, (pid, lv) in enumerate(rows, start=1)]
-    links = st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
+    links = st.tuples(*[st.integers(min_value=0, max_value=9)] * (members - 1))
     leads = [(tid, draw(links)) for tid, _, _ in history]
     raws = [(pid, 1, draw(st.integers(min_value=1, max_value=40))) for pid in range(1, 6)]
-    return ss.HistoryStore.from_records(SMALL_TOPOLOGY, history, leads, raws)
+    return ss.HistoryStore.from_records(TOPOLOGIES[members], history, leads, raws)
 
 
-# Dense stores draw each level from {-1, 1}: a product has 8 possible level
-# rows, so its records often repeat one, and a match counts and sums every
-# record of a repeated row.  Many of them share member 1, so a member-1
-# window holds rows that members 2 and 3 must still tell apart.
-stores = st.one_of(
-    small_stores(), small_stores(st.sampled_from([-1, 1])), small_stores(EDGE_LEVELS)
-)
+def chain_stores(members):
+    """Random stores of ``members`` members.  Dense stores draw each level
+    from {-1, 1}: at 3 members a product has 8 possible level rows, so its
+    records often repeat one, and a match counts and sums every record of a
+    repeated row.  Many of them share member 1, so a member-1 window holds
+    rows that the later members must still tell apart."""
+    return st.one_of(
+        small_stores(members=members),
+        small_stores(st.sampled_from([-1, 1]), members),
+        small_stores(EDGE_LEVELS, members),
+    )
+
+
+def with_chain_sizes(radii):
+    """(radius, members) pairs: every radius on 3 members, and each radius
+    above 0, where the window kernel runs, on 1 and 7 members too."""
+    return [(r, 3) for r in radii] + [(r, m) for r in radii if r > 0 for m in (1, 7)]
+
 
 @st.composite
 def sparse_stores(draw):
@@ -117,46 +137,57 @@ def member2_share(store, batch, radius):
     return passed / pairs
 
 
-positions = st.lists(
-    st.tuples(
-        st.floats(min_value=0.5, max_value=5.49),
-        *[st.floats(min_value=-4.5, max_value=4.5) | st.sampled_from([-1.0, 1.0])] * 3,
-    ),
-    min_size=1,
-    max_size=12,
-)
-queries = st.tuples(
-    st.integers(min_value=1, max_value=5),
-    *[st.integers(min_value=-4, max_value=4) | st.sampled_from([-1, 1])] * 3,
-)
+def chain_positions(members):
+    return st.lists(
+        st.tuples(
+            st.floats(min_value=0.5, max_value=5.49),
+            *[st.floats(min_value=-4.5, max_value=4.5) | st.sampled_from([-1.0, 1.0])] * members,
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+
+def chain_queries(members):
+    return st.tuples(
+        st.integers(min_value=1, max_value=5),
+        *[st.integers(min_value=-4, max_value=4) | st.sampled_from([-1, 1])] * members,
+    )
+
+
+queries = chain_queries(3)
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("radius", RADII)
-    @given(store=stores, batch=positions)
+    @pytest.mark.parametrize("radius, members", with_chain_sizes(RADII))
+    @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_evaluate_batch_bitwise(self, radius, store, batch):
+    def test_evaluate_batch_bitwise(self, radius, members, data):
+        store, batch = data.draw(chain_stores(members)), data.draw(chain_positions(members))
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=radius))
         got = evaluator.evaluate_batch(np.array(batch))
         want = reference_fitness(store, evaluator, batch, radius)
         assert hexes(got) == hexes(want)
         assert hexes(evaluator.evaluate(p) for p in batch) == hexes(want)
 
-    @pytest.mark.parametrize("radius", MATCH_RADII)
-    @given(store=stores, query=queries)
+    @pytest.mark.parametrize("radius, members", with_chain_sizes(MATCH_RADII))
+    @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_match_individual_tids(self, radius, store, query):
+    def test_match_individual_tids(self, radius, members, data):
+        store, query = data.draw(chain_stores(members)), data.draw(chain_queries(members))
         got = store.match_individual(query[0], query[1:], radius)
         tids, _ = reference_match(store, query[0], query[1:], radius)
         assert got.tolist() == tids
 
-    @pytest.mark.parametrize("radius", MATCH_RADII)
-    @given(store=stores, batch=st.lists(queries, max_size=12))
+    @pytest.mark.parametrize("radius, members", with_chain_sizes(MATCH_RADII))
+    @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_match_counts(self, radius, store, batch):
+    def test_match_counts(self, radius, members, data):
         # one product id for the whole batch, which broadcasts; product 5 has no records.
         # The recorded rows are queries too, so radius 0 finds every repeated row.
-        levels = np.array([q[1:] for q in batch], dtype=np.int64).reshape(-1, 3)
+        store = data.draw(chain_stores(members))
+        batch = data.draw(st.lists(chain_queries(members), max_size=12))
+        levels = np.array([q[1:] for q in batch], dtype=np.int64).reshape(-1, members)
         levels = np.concatenate([levels, store.history[:, 2:]])
         for pid in range(1, 6):
             occ, t_stock = store.match_counts(pid, levels, radius)
@@ -166,25 +197,29 @@ class TestAgainstReference:
             assert t_stock.tolist() == [lead for _, lead in want]
             assert [a.tolist() for a in store.match_counts(pid, levels[:0], radius)] == [[], []]
 
+    @pytest.mark.parametrize("members", [1, 3, 7])
     @pytest.mark.parametrize("elements", [1, 10, 40])
-    @given(store=stores, batch=positions)
+    @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_evaluate_batch_across_box_test_chunks(self, elements, store, batch):
+    def test_evaluate_batch_across_box_test_chunks(self, elements, members, data):
         # Each chunk gathers ``elements`` window rows, so a budget of 1 splits
         # every window of two or more rows inside its query.
+        store, batch = data.draw(chain_stores(members)), data.draw(chain_positions(members))
         evaluator = ss.FitnessEvaluator(store, ss.PsoConfig(match_radius=1))
         want = reference_fitness(store, evaluator, batch, 1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(history, "_GATHER_ELEMENTS", elements)
             assert hexes(evaluator.evaluate_batch(np.array(batch))) == hexes(want)
 
-    @pytest.mark.parametrize("radius", MATCH_RADII)
-    @given(store=stores, batch=st.lists(queries, max_size=12), data=st.data())
+    @pytest.mark.parametrize("radius, members", with_chain_sizes(MATCH_RADII))
+    @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_match_counts_one_product_per_row(self, radius, store, batch, data):
+    def test_match_counts_one_product_per_row(self, radius, members, data):
         # Products 1..4 may have records, product 5 has raw rows but none,
         # and product 9 has no rows at all; all of them share one call.
-        levels = np.array([q[1:] for q in batch], dtype=np.int64).reshape(-1, 3)
+        store = data.draw(chain_stores(members))
+        batch = data.draw(st.lists(chain_queries(members), max_size=12))
+        levels = np.array([q[1:] for q in batch], dtype=np.int64).reshape(-1, members)
         levels = np.concatenate([levels, store.history[:, 2:]])
         products = st.sampled_from([1, 2, 3, 4, 5, 9])
         pids = data.draw(st.lists(products, min_size=len(levels), max_size=len(levels)))
@@ -195,10 +230,12 @@ class TestAgainstReference:
         assert all(n == 0 for pid, n in zip(pids, occ.tolist()) if pid in (5, 9))
 
     @pytest.mark.parametrize("elements", [1, 10, 40])
-    @pytest.mark.parametrize("radius", [1, 6])
-    @given(store=stores, batch=st.lists(queries, min_size=1, max_size=12))
+    @pytest.mark.parametrize("radius, members", with_chain_sizes([1, 6]))
+    @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_match_counts_across_box_test_chunks(self, elements, radius, store, batch):
+    def test_match_counts_across_box_test_chunks(self, elements, radius, members, data):
+        store = data.draw(chain_stores(members))
+        batch = data.draw(st.lists(chain_queries(members), min_size=1, max_size=12))
         pids = np.array([q[0] for q in batch])
         levels = np.array([q[1:] for q in batch], dtype=np.int64)
         want = [reference_match(store, q[0], q[1:], radius) for q in batch]
@@ -504,6 +541,23 @@ class TestFarLevels:
 INT64_EDGES = [-(2**63), -1, 0, 1, 2**63 - 1]
 
 
+class TestRangeTest:
+    @given(
+        levels=st.lists(st.sampled_from(INT64_EDGES) | st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=20),
+        query=st.sampled_from(INT64_EDGES) | st.integers(-(2**63), 2**63 - 1),
+        radius=st.sampled_from([0, 1, 2**62, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 10**30])
+        | st.integers(0, 2**64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_unsigned_range_test_is_exact(self, levels, query, radius):
+        # level - low <= span in uint64 holds exactly when the level lies
+        # within radius of the query, at and past the int64 limits
+        low, span = history._saturated_bounds(np.array([query], dtype=np.int64), radius)
+        level = np.array(levels, dtype=np.int64).view(np.uint64)
+        got = (level - low) <= span
+        assert got.tolist() == [query - radius <= v <= query + radius for v in levels]
+
+
 class TestNumericKeys:
     @given(
         rows=st.lists(
@@ -575,8 +629,8 @@ class TestNumericKeys:
         ]
         pids = np.array([pid for pid, _ in queries], dtype=np.int64)
         member1 = np.array([[q1] * 3 for _, q1 in queries], dtype=np.int64).reshape(-1, 3)
-        low, high = history._saturated_bounds(member1, radius)
-        lo, hi = store._windows(pids, low[:, 0], high[:, 0])
+        low, span = history._saturated_bounds(member1, radius)
+        lo, hi = store._windows(pids, low[:, 0], span[:, 0])
         for (pid, q1), start, stop in zip(queries, lo.tolist(), hi.tolist()):
             want = [
                 row[1:]
