@@ -25,16 +25,16 @@ tid, product, *levels = store.history[0].tolist()
 print(f"\nTID {tid}: product {product}, levels {tuple(levels)}")
 
 # Matching asks: in how many recorded periods did this product show a
-# pattern within `radius` units of the query on every member?
+# pattern within `radius` units of the query on every member?  match_counts
+# answers that count, P(occ), and t_stock, the summed link days of those
+# periods, for a matrix of queries at once, as the fitness does.
 for radius in (0, 50, 400):
-    tids = store.match_individual(product, levels, radius)
-    print(f"radius {radius:>3}: {len(tids)} period(s) matched, TIDs {tids.tolist()}")
+    occ, t_stock = store.match_counts(product, np.array([levels]), radius)
+    print(f"radius {radius:>3}: {occ[0]} period(s) matched, "
+          f"stock lead time {t_stock[0]} days")
 
-# The two lead-time aggregates behind the fitness formula.  match_counts
-# answers P(occ) and t_stock for a matrix of queries at once, as the fitness does.
-_, t_stock = store.match_counts(product, np.array([levels]), 0)
-print(f"\nstock lead time over matched TIDs: {t_stock[0]} days")
-print(f"raw-material lead time of product {product}: "
+# The other lead-time aggregate behind the fitness formula.
+print(f"\nraw-material lead time of product {product}: "
       f"{store.raw_lead_time_total(product)} days")
 
 # Product 3 appears in 7 of the 20 periods; its occurrence ratio is the

@@ -255,14 +255,9 @@ def draw_swarm(
     """Initial (swarm_size, d) position and velocity matrices, drawn
     uniformly inside the position box and the velocity limits; positions
     are drawn first."""
-    d = dimension(topology)
-    n = config.swarm_size
-    lower = config.bounds.position_lower(topology.member_count)
-    upper = config.bounds.position_upper(topology.member_count)
-    v_min, v_max = config.bounds.velocity_limits(topology.member_count)
-    positions = rng.uniform(lower, upper, size=(n, d))
-    velocities = rng.uniform(v_min, v_max, size=(n, d))
-    return positions, velocities
+    v_min, v_max, lower, upper = _step_limits(config.bounds, topology.member_count)
+    size = (config.swarm_size, dimension(topology))
+    return rng.uniform(lower, upper, size), rng.uniform(v_min, v_max, size)
 
 
 def pso_step(
@@ -302,8 +297,8 @@ def pso_step(
 
 @functools.lru_cache(maxsize=16)
 def _step_limits(bounds: Bounds, member_count: int) -> tuple[np.ndarray, ...]:
-    """The velocity limits and the position box of ``pso_step``, built once
-    per bounds and chain size, read-only."""
+    """The velocity limits and the position box of ``draw_swarm`` and
+    ``pso_step``, built once per bounds and chain size, read-only."""
     limits = (
         *bounds.velocity_limits(member_count),
         bounds.position_lower(member_count),
@@ -371,13 +366,14 @@ def run(
 
     Each round: inertia from the 0-based round index, velocity then position
     updates for the whole swarm, batch evaluation, strict-improvement pbest
-    updates, then the gbest scan (ties to the lowest particle index, earlier
-    rounds keep the incumbent).  ``observer``, when given, is called after
-    every round with (iteration, positions, velocities, gbest_fitness) for
-    inspection; it must not mutate the arrays.
+    updates.  gbest is then the best pbest: the lowest-index particle among
+    the lowest pbest values, as after the initial evaluation.  ``observer``,
+    when given, is called after every round with (iteration, positions,
+    velocities, gbest_fitness) for inspection; it must not mutate the arrays.
 
     Stops after ``max_iterations`` rounds, or earlier when ``stall_window``
-    is positive and gbest has not improved for that many consecutive rounds.
+    is positive and the gbest value has not fallen for that many
+    consecutive rounds.
     A swarm whose (swarm_size, d) float64 matrices pass numpy's array size
     limit raises ConfigError.
     """
@@ -396,26 +392,19 @@ def run(
     rng = np.random.default_rng(config.seed)
 
     positions, velocities = draw_swarm(config, topology, rng)
-    fitness = evaluator.evaluate_batch(positions)
     pbest_positions = positions.copy()
-    pbest_fitness = fitness.copy()
-
-    gbest_index = int(np.argmin(pbest_fitness))  # argmin takes the lowest index on ties
-    gbest_position = pbest_positions[gbest_index].copy()
-    gbest_fitness = float(pbest_fitness[gbest_index])
+    pbest_fitness = evaluator.evaluate_batch(positions)
+    best = np.argmin(pbest_fitness)  # argmin takes the lowest index on ties
+    gbest_fitness = float(pbest_fitness[best])
 
     trace: list[tuple[int, float]] = []
     stalled = 0
     for round_index in range(config.max_iterations):
         w = inertia_weight(config, round_index)
-        if config.per_dimension_r:
-            r = rng.random((n, 2, d))
-            r1, r2 = r[:, 0, :], r[:, 1, :]
-        else:
-            r = rng.random((n, 2))
-            r1, r2 = r[:, 0:1], r[:, 1:2]
+        r = rng.random((n, 2, d if config.per_dimension_r else 1))
+        r1, r2 = r[:, 0], r[:, 1]
         positions, velocities = pso_step(
-            positions, velocities, pbest_positions, gbest_position, w, r1, r2, config
+            positions, velocities, pbest_positions, pbest_positions[best], w, r1, r2, config
         )
         fitness = evaluator.evaluate_batch(positions)
 
@@ -423,17 +412,9 @@ def run(
         pbest_positions[improved] = positions[improved]
         pbest_fitness[improved] = fitness[improved]
 
-        candidate = int(np.argmin(pbest_fitness))
-        if pbest_fitness[candidate] < gbest_fitness or (
-            pbest_fitness[candidate] == gbest_fitness and candidate < gbest_index
-        ):
-            gbest_index = candidate
-            gbest_position = pbest_positions[candidate].copy()
-            new_fitness = float(pbest_fitness[candidate])
-            stalled = 0 if new_fitness < gbest_fitness else stalled + 1
-            gbest_fitness = new_fitness
-        else:
-            stalled += 1
+        best = np.argmin(pbest_fitness)
+        stalled = 0 if pbest_fitness[best] < gbest_fitness else stalled + 1
+        gbest_fitness = float(pbest_fitness[best])
 
         trace.append((round_index + 1, gbest_fitness))
         if observer is not None:
@@ -442,7 +423,7 @@ def run(
             break
 
     return OptimizationResult(
-        best_position=gbest_position,
+        best_position=pbest_positions[best].copy(),
         best_fitness=gbest_fitness,
         gbest_trace=tuple(trace),
         iterations_run=len(trace),

@@ -499,7 +499,8 @@ def _read_table(path: str | Path, expected_header: list[str], label: str) -> np.
     decoded and split by ``str.splitlines``; its stripped non-blank data
     lines are parsed in one ``np.loadtxt`` call too, and input it rejects is
     parsed again by :func:`_parse_lines`, which accepts what ``int()``
-    accepts (``1_000``, full-width digits) and names the line of an error.
+    accepts (``1_000``, full-width digits) and names the line of an error,
+    counting every line that ``str.splitlines`` finds, blank ones included.
     Width disagreements raise DimensionMismatch (they usually mean the
     configured chain size is wrong); anything else malformed raises
     ParseError.
@@ -529,11 +530,11 @@ def _split_and_parse(
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {label} file {path}: {exc}") from exc
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
+    stripped = (line.strip() for line in text.splitlines())
+    lines = [(lineno, line) for lineno, line in enumerate(stripped, start=1) if line]
     if not lines:
         raise ParseError(f"{label} file {path} is empty")
-    header = [cell.strip() for cell in lines[0].split(",")]
+    header = [cell.strip() for cell in lines[0][1].split(",")]
     if len(header) != len(expected_header):
         raise DimensionMismatch(
             f"{label} header has {len(header)} columns, expected {len(expected_header)} "
@@ -545,8 +546,8 @@ def _split_and_parse(
         )
     if len(lines) == 1:
         raise ParseError(f"{label} file {path} has a header but no records")
-    matrix = _loadtxt(lines[1:], len(expected_header))
-    return matrix if matrix is not None else _parse_lines(lines, expected_header, label)
+    matrix = _loadtxt([line for _, line in lines[1:]], len(expected_header))
+    return matrix if matrix is not None else _parse_lines(lines[1:], expected_header, label)
 
 
 def _loadtxt(source, width: int, skiprows: int = 0) -> np.ndarray | None:
@@ -564,11 +565,11 @@ def _loadtxt(source, width: int, skiprows: int = 0) -> np.ndarray | None:
     return matrix if matrix.shape[1] == width else None
 
 
-def _parse_lines(lines: list[str], expected_header: list[str], label: str) -> np.ndarray:
-    """The data lines after the header ``lines[0]``, parsed cell by cell with
-    ``int()``; the first bad line raises an error that names it."""
+def _parse_lines(lines: list[tuple[int, str]], expected_header: list[str], label: str) -> np.ndarray:
+    """The data lines, (line number, stripped text) pairs, parsed cell by
+    cell with ``int()``; the first bad line raises an error that names it."""
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         cells = [cell.strip() for cell in line.split(",")]
         if len(cells) != len(expected_header):
             raise DimensionMismatch(

@@ -453,6 +453,18 @@ PINNED_OUTPUTS = {
         "report.json": "8c8324c067582ef76825f423a329f08e5e73a1187ae156740ad33b9b7477c686",
         "manifest.json": "02a5f044c416efd9037b5b8bacc31bd6e698b70e5186cf17f89e120da23dadce",
     },
+    # The per-dimension r1/r2 draw, and a radius-0 run whose gbest stalls
+    # for five rounds and stops there.
+    "optimize-per-dimension-r": {
+        "report.txt": "d6e243256342c3ca8770ddcdf8cde0f47c8e36aeba3ce3351fff25a9940403c5",
+        "report.json": "76277685eb23895d4c0a4b566e1c1507ef779daf0de1d52ba39adaeb5e167d91",
+        "manifest.json": "9c1010b28924dbc3aa4dec9484df16cc5666543b80c345001e699410847e3cf8",
+    },
+    "optimize-radius-0-stall-5": {
+        "report.txt": "04d51394af1e59ea4c021c0d53437b163b74203dd1168d87c5c3efa89502be0b",
+        "report.json": "08963f10ba4f883be8f5174eeca1fce6d30ea7de272f65ad4617f9494d865cd2",
+        "manifest.json": "06392a55b690e8ebecdd94aff03d8a15bc15f1b24010d221100988967f30c40e",
+    },
     "oracle": {
         "oracle.json": "05cb90721b06229d7106a7172b7f33ed2ea39d9c19ff5986112b5fc996126099",
         "manifest.json": "8727faf5df1cf610190a619a8c433656ca9c55d397b604b833c101677551e8b1",
@@ -480,6 +492,13 @@ PINNED_OUTPUTS = {
 }
 
 
+PINNED_CONFIGS = {
+    "oracle-radius-0": "match_radius = 0\n",
+    "optimize-per-dimension-r": "per_dimension_r = true\n",
+    "optimize-radius-0-stall-5": "match_radius = 0\nstall_window = 5\n",
+}
+
+
 SYNTH_TABLES = ("stock_history.csv", "stock_lead_times.csv", "raw_material_lead_times.csv")
 
 
@@ -488,9 +507,9 @@ def test_fixture_output_bytes_pinned(tmp_path, monkeypatch, capsys, job):
     # Relative paths keep validate's stdout free of the checkout's location.
     monkeypatch.chdir(tmp_path)
     argv = [job.split("-")[0], "--seed", "0", "--out", "out"]
-    if job == "oracle-radius-0":
-        (tmp_path / "zero.conf").write_text("match_radius = 0\n")
-        argv += ["--config", "zero.conf"]
+    if job in PINNED_CONFIGS:
+        (tmp_path / "job.conf").write_text(PINNED_CONFIGS[job])
+        argv += ["--config", "job.conf"]
     elif job == "synth":
         argv += ["--periods", "50"]
     elif job == "synth-int64-limits":

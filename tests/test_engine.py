@@ -416,6 +416,106 @@ class TestInitSwarm:
         assert (velocities >= v_min).all() and (velocities <= v_max).all()
 
 
+@st.composite
+def tie_heavy_runs(draw):
+    """A one-product store of 3-member records in a stock box of a few
+    units, and a radius-0 config on that box: most rounded positions match
+    no record or the same few, so pbest values tie often."""
+    topology = ss.Topology(dc_count=1, agents_per_dc=(1,))
+    span = draw(st.integers(1, 2))
+    level = st.integers(-span, span)
+    levels = draw(st.lists(st.tuples(level, level, level), min_size=1, max_size=12))
+    links = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    history = [(tid, 1, lv) for tid, lv in enumerate(levels, 1)]
+    leads = [(tid, draw(links)) for tid in range(1, len(levels) + 1)]
+    raws = [(1, 1, draw(st.integers(1, 9)))]
+    store = ss.HistoryStore.from_records(topology, history, leads, raws)
+    config = ss.PsoConfig(
+        swarm_size=draw(st.integers(2, 10)),
+        max_iterations=draw(st.integers(1, 20)),
+        match_radius=0,
+        stall_window=draw(st.integers(0, 4)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        per_dimension_r=draw(st.booleans()),
+        bounds=ss.Bounds(product_lb=1, product_ub=1, stock_lb=-span, stock_ub=span),
+    )
+    return store, topology, config
+
+
+def reference_run(store, topology, config):
+    """``run`` with pbest, gbest and the stall count kept in plain Python.
+
+    gbest is an incumbent particle: after each round's pbest updates, a
+    scan in index order moves it to a strictly lower pbest, or to a
+    lower-index particle whose pbest equals it.  Returns what an observer
+    sees, the result's fields, and the number of such tie moves."""
+    n, d = config.swarm_size, ss.dimension(topology)
+    evaluator = ss.FitnessEvaluator(store, config)
+    rng = np.random.default_rng(config.seed)
+    positions, velocities = ss.draw_swarm(config, topology, rng)
+    pbest = [row.copy() for row in positions]
+    pbest_fitness = evaluator.evaluate_batch(positions).tolist()
+    gbest, gbest_fitness = 0, pbest_fitness[0]
+    for i in range(1, n):
+        if pbest_fitness[i] < gbest_fitness:
+            gbest, gbest_fitness = i, pbest_fitness[i]
+    seen, trace, stalled, tie_moves = [], [], 0, 0
+    for round_index in range(config.max_iterations):
+        if config.per_dimension_r:
+            r = rng.random((n, 2, d))
+            r1, r2 = r[:, 0, :], r[:, 1, :]
+        else:
+            r = rng.random((n, 2))
+            r1, r2 = r[:, 0:1], r[:, 1:2]
+        positions, velocities = ss.pso_step(
+            positions, velocities, np.array(pbest), pbest[gbest],
+            ss.inertia_weight(config, round_index), r1, r2, config,
+        )
+        fitness = evaluator.evaluate_batch(positions).tolist()
+        for i in range(n):
+            if fitness[i] < pbest_fitness[i]:
+                pbest[i], pbest_fitness[i] = positions[i].copy(), fitness[i]
+        previous = gbest_fitness
+        for i in range(n):
+            if pbest_fitness[i] < gbest_fitness:
+                gbest, gbest_fitness = i, pbest_fitness[i]
+            elif pbest_fitness[i] == gbest_fitness and i < gbest:
+                gbest, tie_moves = i, tie_moves + 1
+        stalled = 0 if gbest_fitness < previous else stalled + 1
+        trace.append((round_index + 1, gbest_fitness))
+        seen.append((round_index + 1, positions.tobytes().hex(), velocities.tobytes().hex(), gbest_fitness))
+        if config.stall_window > 0 and stalled >= config.stall_window:
+            break
+    result = (pbest[gbest].tobytes().hex(), gbest_fitness, tuple(trace), len(trace))
+    return seen, result, tie_moves
+
+
+class TestGbestReference:
+    def test_run_equals_plain_python_gbest_on_tie_heavy_stores(self):
+        tie_moves = []
+
+        @given(case=tie_heavy_runs())
+        @settings(max_examples=200, deadline=None)
+        def check(case):
+            store, topology, config = case
+            seen = []
+
+            def observer(iteration, positions, velocities, gbest_fitness):
+                seen.append((iteration, positions.tobytes().hex(), velocities.tobytes().hex(), gbest_fitness))
+
+            got = ss.run(store, topology, config, observer=observer)
+            want_seen, want_result, moves = reference_run(store, topology, config)
+            assert seen == want_seen
+            assert (
+                got.best_position.tobytes().hex(), got.best_fitness, got.gbest_trace, got.iterations_run
+            ) == want_result
+            tie_moves.append(moves)
+
+        check()
+        # some drawn run had a lower-index particle tie the incumbent gbest
+        assert any(tie_moves)
+
+
 class TestRun:
     def test_determinism(self, store, topology):
         cfg = ss.PsoConfig(swarm_size=12, max_iterations=30, seed=2024, match_radius=0)

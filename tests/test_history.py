@@ -714,6 +714,12 @@ def csv_texts(draw):
     return text + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
+def numbered_lines(text):
+    """The stripped non-blank lines of ``text`` with their numbers among all
+    the lines ``str.splitlines`` finds, blank ones included."""
+    return [(n, line) for n, line in enumerate((line.strip() for line in text.splitlines()), 1) if line]
+
+
 def parsed(parse):
     """The rows of the int64 matrix ``parse`` returns, or the type and
     message of its error."""
@@ -733,14 +739,14 @@ class TestParsePaths:
     def test_one_call_agrees_with_per_line_parse(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "parse-paths.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        lines = [line for line in (line.strip() for line in text.splitlines()) if line]
+        lines = numbered_lines(text)
         header = ["PI", "RM", "T"]
-        if lines[0] != "PI,RM,T":  # a byte order mark is not whitespace
-            want = (ParseError, f"raw-material header is {lines[0]!r}, expected 'PI,RM,T'")
+        if lines[0][1] != "PI,RM,T":  # a byte order mark is not whitespace
+            want = (ParseError, f"raw-material header is {lines[0][1]!r}, expected 'PI,RM,T'")
         elif len(lines) == 1:
             want = (ParseError, f"raw-material file {path} has a header but no records")
         else:
-            want = parsed(lambda: _parse_lines(lines, header, "raw-material"))
+            want = parsed(lambda: _parse_lines(lines[1:], header, "raw-material"))
         one_call = parsed(lambda: _read_table(path, header, "raw-material"))
         assert one_call == want
         lf = text.isascii() and not any(end in text for end in "\r\x0b\x0c\x1c\x1d\x1e")
@@ -802,11 +808,29 @@ class TestParsePaths:
             ParseError, f"history line 3: {cell!r} is not an integer"
         )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "TID,PI,F1,F2,F3\n\n\n1,1,0,0,0\n2,1,0,x,0\n",
+            "\nTID,PI,F1,F2,F3\n1,1,0,0,0\n \n2,1,0,x,0\n",
+            "TID,PI,F1,F2,F3\r\n1,1,0,0,0\x0c\x0c\r\n2,1,0,x,0\n",
+        ],
+    )
+    def test_error_line_counts_blank_lines(self, tmp_path, tiny_rows, text):
+        # the x is on line 5 of each table, after blank lines, a blank line
+        # first or two form feeds; str.splitlines finds each of those lines
+        topology, *rows = tiny_rows
+        paths = write_tables(tmp_path, topology, *rows)
+        paths[0].write_text(text, encoding="utf-8", newline="")
+        assert outcome(lambda: ss.load_store(*paths, topology)) == (
+            ParseError, "history line 5: 'x' is not an integer"
+        )
+
     def test_fixture_and_synth_tables_equal_on_both_paths(self, paths, topology, tmp_path):
         synth = ss.write_fixtures(ss.SynthConfig(periods=300), seed=3, out_dir=tmp_path)
         for files in (paths, tuple(synth.values())):
             for path, header in zip(files, _headers(topology.member_count)):
-                lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+                lines = numbered_lines(path.read_text(encoding="utf-8"))
                 assert parsed(lambda: _read_table(path, header, "t")) == parsed(
-                    lambda: _parse_lines([line for line in lines if line], header, "t")
+                    lambda: _parse_lines(lines[1:], header, "t")
                 )
