@@ -162,12 +162,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+# The synth-only options: SynthConfig fields, recorded in the manifest too.
+_SYNTH_OPTIONS = ("periods", "products", "link_time_lb", "link_time_ub", "raw_time_lb", "raw_time_ub")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     settings = parse_settings(args.config)
     topology = build_topology(settings)
-    # The synth-only options: SynthConfig fields, recorded in the manifest too.
-    names = ("periods", "products", "link_time_lb", "link_time_ub", "raw_time_lb", "raw_time_ub")
-    options = {name: getattr(args, name) for name in names}
+    options = {name: getattr(args, name) for name in _SYNTH_OPTIONS}
     synth_config = SynthConfig(
         topology=topology,
         stock_lb=_get_int(settings, "stock_lb"),
@@ -223,13 +225,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[common], help="brute-force enumeration minimum")
     p.set_defaults(func=cmd_oracle)
     p = sub.add_parser("synth", parents=[common], help="generate synthetic fixture CSVs")
-    p.add_argument("--periods", type=int, default=20, help="history rows to generate")
-    p.add_argument("--products", type=int, default=5, help="distinct product ids")
-    p.add_argument("--link-time-lb", type=int, default=6, help="minimum link transport days")
-    p.add_argument("--link-time-ub", type=int, default=48, help="maximum link transport days")
-    p.add_argument("--raw-time-lb", type=int, default=6, help="minimum raw-material days")
-    p.add_argument("--raw-time-ub", type=int, default=35, help="maximum raw-material days")
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--periods", type=int, help="history rows to generate")
+    p.add_argument("--products", type=int, help="distinct product ids")
+    p.add_argument("--link-time-lb", type=int, help="minimum link transport days")
+    p.add_argument("--link-time-ub", type=int, help="maximum link transport days")
+    p.add_argument("--raw-time-lb", type=int, help="minimum raw-material days")
+    p.add_argument("--raw-time-ub", type=int, help="maximum raw-material days")
+    synth = SynthConfig()  # each synth-only option defaults to its field's default
+    p.set_defaults(func=cmd_synth, **{name: getattr(synth, name) for name in _SYNTH_OPTIONS})
     return parser
 
 

@@ -309,51 +309,34 @@ def _step_limits(bounds: Bounds, member_count: int) -> tuple[np.ndarray, ...]:
     return limits
 
 
-def _check_log_domain(store: HistoryStore, config: PsoConfig) -> None:
-    """Reject configs that could hit a non-positive log argument mid-run.
+def _bounded_product_ids(store: HistoryStore, config: PsoConfig) -> np.ndarray:
+    """Every integer id in ``[product_lb, product_ub]``, ascending, read off
+    the store's sorted raw-material ids, once each of them can be scored.
 
-    Every integer product id inside the bounds is reachable by rounding, and
-    any of them can match zero records (t_stock = 0), so each needs raw
-    rows and a positive worst-case argument w3 * t_raw up front.  The lowest
-    offending id below the lowest id without raw rows, or else that id
-    (``_bounded_product_ids``), is named.
+    Any id in the bounds is reachable by rounding and can match zero records
+    (t_stock = 0), so each needs raw-material rows and a positive log
+    argument w3 * t_raw before a search starts.  The ids that run from
+    ``product_lb`` without a gap are one slice, so no array spans the
+    bounds.  The lowest of them with a non-positive argument raises
+    LogDomainError, else the first missing id raises MissingRawMaterial.
     """
-    weights = weights_from_priorities(config.priorities)
-    start, present = _raw_run(store, config.bounds)
-    w3_t_raw = weights.w3 * store._raw_totals[start : start + present]
+    lb, ub = config.bounds.product_lb, config.bounds.product_ub
+    start, stop = np.searchsorted(store._raw_pids, lb), np.searchsorted(store._raw_pids, ub, "right")
+    pids, totals = store._raw_pids[start:stop], store._raw_totals[start:stop]
+    gap = np.flatnonzero(pids - np.arange(len(pids)) != lb)  # ids are positive, nothing wraps
+    present = int(gap[0]) if gap.size else len(pids)
+    w3_t_raw = weights_from_priorities(config.priorities).w3 * totals[:present]
     low = np.flatnonzero(w3_t_raw <= 0.0)
     if low.size:
         raise LogDomainError(
-            f"product {store._raw_pids[start + low[0]]} can reach a zero fitness log argument "
-            f"(w3 * t_raw = {float(w3_t_raw[low[0]])}); "
-            "raise r3 or the raw-material lead times"
+            f"product {pids[low[0]]} can reach a zero fitness log argument (w3 * t_raw = "
+            f"{float(w3_t_raw[low[0]])}); raise r3 or the raw-material lead times"
         )
-    _bounded_product_ids(store, config.bounds)
-
-
-def _raw_run(store: HistoryStore, bounds: Bounds) -> tuple[int, int]:
-    """Where the store's sorted raw-material ids in the product bounds
-    start, and how many of them run from ``product_lb`` without a gap: the
-    lowest missing id is the first where an id differs from ``product_lb``
-    plus its offset, so no array spans the bounds."""
-    lb, ub = bounds.product_lb, bounds.product_ub
-    start, stop = np.searchsorted(store._raw_pids, lb), np.searchsorted(store._raw_pids, ub, "right")
-    pids = store._raw_pids[start:stop]
-    gap = np.flatnonzero(pids - np.arange(len(pids)) != lb)  # ids are positive, nothing wraps
-    return int(start), int(gap[0]) if gap.size else len(pids)
-
-
-def _bounded_product_ids(store: HistoryStore, bounds: Bounds) -> np.ndarray:
-    """Every integer id in ``[product_lb, product_ub]``, ascending, read off
-    the store's raw-material ids.  The lowest id in the bounds without
-    raw-material rows raises MissingRawMaterial first."""
-    start, present = _raw_run(store, bounds)
-    if present < bounds.product_ub - bounds.product_lb + 1:
+    if present < ub - lb + 1:
         raise MissingRawMaterial(
-            f"product {bounds.product_lb + present} is inside the product bounds "
-            "but has no raw-material rows"
+            f"product {lb + present} is inside the product bounds but has no raw-material rows"
         )
-    return store._raw_pids[start : start + present]
+    return pids[:present]
 
 
 def run(
@@ -386,7 +369,7 @@ def run(
         raise ConfigError(
             f"swarm_size {n} by dimension {d} float64 matrices pass numpy's array size limit"
         )
-    _check_log_domain(store, config)
+    _bounded_product_ids(store, config)
 
     evaluator = FitnessEvaluator(store, config)
     rng = np.random.default_rng(config.seed)

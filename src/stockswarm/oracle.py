@@ -8,8 +8,8 @@ set is therefore a true lower bound on anything the swarm can return at
 radius 0.  At larger radii the enumeration is still a useful reference
 point but no longer an exhaustive bound, since partial overlaps of several
 record boxes become reachable.  Records with equal vectors share one
-distinct index row and so one fitness at every radius, and the oracle
-scores each distinct row once.
+distinct index row and so one fitness at every radius, scored once; an
+empty-match vector matches no record, so it scores P(occ) = t_stock = 0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import INT64_MAX, INT64_MIN
-from .engine import FitnessEvaluator, PsoConfig, _bounded_product_ids, _check_log_domain
+from .engine import FitnessEvaluator, PsoConfig, _bounded_product_ids
 from .history import HistoryStore, _key_order
 
 __all__ = ["OracleResult", "enumerate_candidates", "oracle_minimum"]
@@ -153,14 +153,14 @@ def _empty_match_rows(
     swarm can round to (the bounded integer range united with the products
     actually on record) that has one, ascending, and the ids that have none.
 
-    An id in the bounds without raw-material rows raises MissingRawMaterial
+    The ids in the bounds are checked first, by ``_bounded_product_ids``,
     before anything is sized by the bounds."""
     bounds, products = config.bounds, store._products
     # Every recorded product has raw-material rows, so the ids in the bounds
     # hold the recorded ones there.
     product_ids = np.concatenate((
         products[: np.searchsorted(products, bounds.product_lb)],
-        _bounded_product_ids(store, bounds),
+        _bounded_product_ids(store, config),
         products[np.searchsorted(products, bounds.product_ub, "right") :],
     ))
     vectors, found = _gap_scan(store, config, product_ids)
@@ -175,8 +175,9 @@ def enumerate_candidates(
 
     Rows are every record's own vector in TID order, then one empty-match
     vector per product id the swarm can round to (the bounded integer range
-    united with the products actually on record), ascending.
-    ``oracle_minimum`` scores the same candidates without this matrix.
+    united with the products actually on record), ascending.  The ids in the
+    bounds raise the errors ``run`` raises; ``oracle_minimum`` scores the
+    same candidates without this matrix.
     """
     empty, skipped = _empty_match_rows(store, config)
     return np.vstack([store.history[:, 1:], empty]), skipped
@@ -193,11 +194,10 @@ def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
     fitness through ``_record_row``; the earliest minimum among them is the
     earliest record in TID order.  At radius 0 a row's P(occ) and t_stock
     are its count and lead-time sum; otherwise ``match_counts`` gives them,
-    with the rows as queries in key order.  The empty-match rows go through
-    ``match_counts`` and a second ``score`` call, and win only when strictly
-    lower, since records come first.
+    with the rows as queries in key order.  Each empty-match row matches no
+    record, so a second ``score`` call takes P(occ) = t_stock = 0 for them;
+    they win only when strictly lower, since records come first.
     """
-    _check_log_domain(store, config)
     empty, skipped = _empty_match_rows(store, config)
     evaluator, radius = FitnessEvaluator(store, config), config.match_radius
     pids = np.repeat(store._products, np.diff(store._row_starts))
@@ -208,8 +208,7 @@ def oracle_minimum(store: HistoryStore, config: PsoConfig) -> OracleResult:
     fitness = evaluator.score(pids, occ, t_stock).take(store._record_row)
     best = int(np.argmin(fitness))  # argmin takes the earliest on ties
     position, best_fitness = store.history[best, 1:], fitness[best]
-    occ, t_stock = store.match_counts(empty[:, 0], empty[:, 1:], radius)
-    empty_fitness = evaluator.score(empty[:, 0], occ, t_stock)
+    empty_fitness = evaluator.score(empty[:, 0], 0, 0)  # each matches no record
     if len(empty) and empty_fitness.min() < best_fitness:
         best = int(np.argmin(empty_fitness))
         position, best_fitness = empty[best], empty_fitness[best]

@@ -8,7 +8,7 @@ import shutil
 import pytest
 
 import stockswarm as ss
-from stockswarm.cli import main
+from stockswarm.cli import _build_parser, main
 from stockswarm.config import (
     DEFAULT_SETTINGS,
     build_pso_config,
@@ -66,6 +66,18 @@ class TestSettings:
         assert cfg.per_dimension_r is True
         assert cfg.priorities == ss.PriorityConfig(10.0, 5.0, 1.0)
         assert cfg.bounds == ss.Bounds()
+
+    def test_defaults_equal_the_dataclass_defaults(self):
+        # The settings file and the synth flags default to what the library
+        # defaults to, so a command and a library call agree by default.
+        args = _build_parser().parse_args(["synth"])
+        synth = ss.SynthConfig()
+        names = ("periods", "products", "link_time_lb", "link_time_ub", "raw_time_lb", "raw_time_ub")
+        assert {name: getattr(args, name) for name in names} == {
+            name: getattr(synth, name) for name in names
+        }
+        assert build_pso_config(DEFAULT_SETTINGS) == ss.PsoConfig()
+        assert build_topology(DEFAULT_SETTINGS) == ss.Topology()
 
     def test_empty_agents_for_factory_only(self):
         settings = dict(

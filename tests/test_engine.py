@@ -221,12 +221,14 @@ def _log_zero(pid):
 
 
 class TestLogDomainCheck:
-    """Both searches check every product id in the bounds before they start;
-    the lowest offending id wins, whichever of the two errors it has."""
+    """Both searches and the candidate enumeration check every product id in
+    the bounds before they start; the lowest offending id wins, whichever of
+    the two errors it has."""
 
     SEARCHES = {
         "run": lambda store, cfg: ss.run(store, store.topology, cfg),
         "oracle": ss.oracle_minimum,
+        "enumerate": ss.enumerate_candidates,
     }
 
     @pytest.mark.parametrize("search", SEARCHES)

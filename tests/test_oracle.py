@@ -52,6 +52,15 @@ def empty_rows(store, config):
     return [tuple(row) for row in candidates[store.total_periods :].tolist()], skipped
 
 
+def assert_rows_match_nothing(store, config):
+    """Every empty-match row of ``enumerate_candidates`` matches no record
+    at the configured radius, so its P(occ) and t_stock are 0."""
+    candidates, _ = ss.enumerate_candidates(store, config)
+    empty = candidates[store.total_periods :]
+    occ, t_stock = store.match_counts(empty[:, 0], empty[:, 1:], config.match_radius)
+    assert occ.tolist() == t_stock.tolist() == [0] * len(empty)
+
+
 def reference_walk(recorded, members, lb, ub):
     """The first levels of the box ``[lb, ub]`` in lexicographic order that
     are not in the set ``recorded``, or None."""
@@ -266,13 +275,19 @@ class TestAtSize:
             skipped_products=skipped,
         )
         # One score per distinct row, read by each record through its row,
-        # then the empty-match rows: the batch's scores, bit for bit.  Every
-        # match is counted at the configured radius; at radius 0 the rows'
-        # counts are the index's own.
+        # then the empty-match rows: the batch's scores, bit for bit.  Only
+        # the distinct rows are counted, at the configured radius, and at
+        # radius 0 their counts are the index's own; the empty-match rows
+        # match nothing (``test_empty_rows_match_nothing``) and take none.
         rows, empty = scored
         assert len(rows) == len(store._counts)
         assert hexes(np.concatenate((rows.take(store._record_row), empty))) == hexes(want)
-        assert radii == [radius] * (2 if radius else 1)
+        assert radii == ([radius] if radius else [])
+
+    @pytest.mark.parametrize("radius", [0, 1, 3, 100, 2**62])
+    @pytest.mark.parametrize("case", CASES)
+    def test_empty_rows_match_nothing(self, case, radius):
+        assert_rows_match_nothing(*self.build(*case, radius))
 
     @pytest.mark.parametrize("case", CASES)
     def test_record_counts_equal_match_counts(self, case):
@@ -621,8 +636,14 @@ class TestEmptyMatchRows:
             rows, skipped = empty_rows(store, cfg)
             assert skipped == ()
             assert [row[0] for row in rows] == list(store.products)
-            for row in rows:
-                assert len(store.match_individual(row[0], row[1:], radius)) == 0
+            assert_rows_match_nothing(store, cfg)
+
+    @pytest.mark.parametrize("radius", [0, 1, 3, 10**6])
+    @given(store=small_stores(), product_ub=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_nothing_on_small_stores(self, radius, store, product_ub):
+        bounds = ss.Bounds(product_ub=product_ub, **SMALL_BOUNDS)
+        assert_rows_match_nothing(store, ss.PsoConfig(match_radius=radius, bounds=bounds))
 
     def test_unknown_product_gets_trivial_row(self, store):
         cfg = ss.PsoConfig(match_radius=0, bounds=ss.Bounds(product_ub=9))
