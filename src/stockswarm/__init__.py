@@ -25,36 +25,13 @@ Everything is deterministic given the inputs and the seed.
 from importlib.resources import files
 from pathlib import Path
 
-from . import errors
-from .domain import (
-    Bounds,
-    PriorityConfig,
-    Topology,
-    Weights,
-    dimension,
-    round_half_away_from_zero,
-    total_agents,
-    weights_from_priorities,
-)
-from .engine import (
-    FitnessEvaluator,
-    OptimizationResult,
-    PsoConfig,
-    draw_swarm,
-    inertia_weight,
-    pso_step,
-    run,
-)
-from .history import (
-    HistoryRecord,
-    HistoryStore,
-    RawMaterialLeadTime,
-    StockLeadTimeRecord,
-    load_store,
-)
-from .oracle import OracleResult, enumerate_candidates, oracle_minimum
-from .recommend import Action, Recommendation, interpret, member_labels, render_report
-from .synth import SynthConfig, generate, write_fixtures
+from . import domain, engine, errors, history, oracle, recommend, synth
+from .domain import *
+from .engine import *
+from .history import *
+from .oracle import *
+from .recommend import *
+from .synth import *
 
 __version__ = "0.1.0"
 
@@ -62,51 +39,16 @@ __all__ = [
     "__version__",
     "errors",
     "fixture_paths",
-    # domain
-    "Topology",
-    "Bounds",
-    "PriorityConfig",
-    "Weights",
-    "total_agents",
-    "dimension",
-    "weights_from_priorities",
-    "round_half_away_from_zero",
-    # history
-    "HistoryRecord",
-    "StockLeadTimeRecord",
-    "RawMaterialLeadTime",
-    "HistoryStore",
-    "load_store",
-    # engine
-    "PsoConfig",
-    "OptimizationResult",
-    "FitnessEvaluator",
-    "inertia_weight",
-    "draw_swarm",
-    "pso_step",
-    "run",
-    # recommend
-    "Action",
-    "Recommendation",
-    "member_labels",
-    "interpret",
-    "render_report",
-    # oracle
-    "OracleResult",
-    "enumerate_candidates",
-    "oracle_minimum",
-    # synth
-    "SynthConfig",
-    "generate",
-    "write_fixtures",
+    *domain.__all__,
+    *history.__all__,
+    *engine.__all__,
+    *recommend.__all__,
+    *oracle.__all__,
+    *synth.__all__,
 ]
 
 
 def fixture_paths() -> tuple[Path, Path, Path]:
     """Paths of the bundled history, stock lead-time and raw-material CSVs."""
     data = files(__name__) / "data"
-    return (
-        Path(str(data / "stock_history.csv")),
-        Path(str(data / "stock_lead_times.csv")),
-        Path(str(data / "raw_material_lead_times.csv")),
-    )
+    return tuple(Path(str(data / name)) for name in history._TABLE_FILES)

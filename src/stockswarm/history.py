@@ -413,6 +413,10 @@ def _key_order(matrix: np.ndarray) -> np.ndarray:
     return np.lexsort(digits) if digits else np.arange(len(matrix))
 
 
+# File names of the three tables, in the order of _headers.
+_TABLE_FILES = ("stock_history.csv", "stock_lead_times.csv", "raw_material_lead_times.csv")
+
+
 def _headers(member_count: int) -> tuple[list[str], list[str], list[str]]:
     """Column names of the history, stock-lead-time and raw-material tables."""
     return (

@@ -62,7 +62,7 @@ def test_criterion_4_table_aggregates(store):
     assert sum(store.lead[:2, 1:].ravel().tolist()) == 248  # TIDs 1 and 2
     assert store.raw_lead_time_total(3) == 89
     assert store.raw_lead_time_total(1) == 31
-    pi3 = [r for r in store.records if r.product_id == 3]
+    pi3 = store.history[store.history[:, 1] == 3]
     assert len(pi3) == 7
     _pass(4, "t_stock([1])=121, t_stock([1,2])=248, t_raw(3)=89, t_raw(1)=31, PI=3 rows=7")
 

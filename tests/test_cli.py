@@ -444,7 +444,7 @@ class TestOracleCommand:
         body = json.loads(body.read_text())
         assert body["best_position"] == [1, big, 0, 0]
         assert body["best_fitness"] == pytest.approx(math.log(5 / 11))  # both records match
-        assert len(store.match_individual(1, [big, 0, 0], 1)) == 2
+        assert store.match_counts(1, [[big, 0, 0]], 1)[0].tolist() == [2]
 
 
 # sha256 of the seed-0 output files on the bundled fixture (for synth: of its

@@ -2,7 +2,7 @@
 
 ``evaluate_batch``, ``evaluate``, ``match_counts`` and ``match_individual``
 all go through the matcher in ``HistoryStore``; the reference below is a
-plain loop over ``store.records`` that shares no code with it.
+plain loop over the rows of ``store.history`` that shares no code with it.
 """
 
 import math
@@ -23,12 +23,11 @@ def reference_match(store, product_id, levels, radius):
     """TIDs of the records of ``product_id`` within ``radius`` of ``levels``
     on every member, and their summed stock lead time."""
     tids = [
-        r.tid
-        for r in store.records
-        if r.product_id == product_id
-        and all(abs(v - q) <= radius for v, q in zip(r.levels, levels))
+        tid
+        for tid, pid, *row in store.history.tolist()
+        if pid == product_id and all(abs(v - q) <= radius for v, q in zip(row, levels))
     ]
-    link_days = {r.tid: sum(r.link_times) for r in store.lead_records}
+    link_days = {tid: sum(times) for tid, *times in store.lead.tolist()}
     return tids, sum(link_days[t] for t in tids)
 
 
@@ -364,7 +363,7 @@ class TestFixture:
             [rng.uniform(1, 5, 16)] + [rng.uniform(-1000, 1000, 16) for _ in range(7)]
         )
         # half the rows sit on recorded vectors, so some of them match
-        batch[::2] = [(r.product_id, *r.levels) for r in store.records[:8]]
+        batch[::2] = store.history[:8, 1:]
         want = reference_fitness(store, evaluator, batch.tolist(), 50)
         assert hexes(evaluator.evaluate_batch(batch)) == hexes(want)
         assert hexes(evaluator.evaluate(row) for row in batch) == hexes(want)

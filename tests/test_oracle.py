@@ -34,7 +34,7 @@ def reference_empty_vector(store, product_id, lb, ub):
     """The first vector of the stock box ``[lb, ub]`` in lexicographic
     order that no record of ``product_id`` holds, or None: a walk over the
     box against a set of the recorded vectors."""
-    recorded = {r.levels for r in store.records if r.product_id == product_id}
+    recorded = {tuple(row) for pid, *row in store.history[:, 1:].tolist() if pid == product_id}
     levels = reference_walk(recorded, store.topology.member_count, lb, ub)
     return None if levels is None else (product_id, *levels)
 
@@ -75,7 +75,7 @@ def reference_gap_scan(store, product_id, lb, ub, radius):
     on the first dimension that has one, the lower bound, else the lowest
     gap wider than ``2 * radius + 1`` between the recorded values near the
     box, else the upper bound; or None when no dimension has one."""
-    recorded = [r.levels for r in store.records if r.product_id == product_id]
+    recorded = [tuple(row) for pid, *row in store.history[:, 1:].tolist() if pid == product_id]
     levels = reference_scan_levels(recorded, store.topology.member_count, lb, ub, radius)
     return None if levels is None else (product_id, *levels)
 
@@ -114,8 +114,8 @@ def reference_empty_rows(store, config):
     bounds, radius = config.bounds, config.match_radius
     lb, ub, members = bounds.stock_lb, bounds.stock_ub, store.topology.member_count
     recorded = {}
-    for record in store.records:
-        recorded.setdefault(record.product_id, set()).add(record.levels)
+    for pid, *row in store.history[:, 1:].tolist():
+        recorded.setdefault(pid, set()).add(tuple(row))
     rows, skipped = [], []
     for pid in sorted(set(recorded) | set(range(bounds.product_lb, bounds.product_ub + 1))):
         if pid not in recorded:
@@ -365,8 +365,8 @@ class TestWholeIndexScan:
             lb, ub, radius = cfg.bounds.stock_lb, cfg.bounds.stock_ub, cfg.match_radius
             members = store.topology.member_count
             recorded = {}
-            for record in store.records:
-                recorded.setdefault(record.product_id, set()).add(record.levels)
+            for pid, *row in store.history[:, 1:].tolist():
+                recorded.setdefault(pid, set()).add(tuple(row))
             for levels in recorded.values():
                 scanned = reference_scan(levels, members, lb, ub, radius)
                 if scanned is None:
@@ -522,7 +522,7 @@ class TestBruteForceBound:
             )
             assert empty_rows(store, cfg) == ([want], ())
             assert reference_gap_scan(store, 1, stock_lb, stock_ub, radius) == want
-            assert len(store.match_individual(1, want[1:], radius)) == 0
+            assert store.match_counts(1, [want[1:]], radius)[0].tolist() == [0]
 
     @given(
         rows=st.lists(
@@ -649,7 +649,7 @@ class TestEmptyMatchRows:
         cfg = ss.PsoConfig(match_radius=0, bounds=ss.Bounds(product_ub=9))
         row = scanned_row(store, 9, cfg)
         assert row is not None
-        assert len(store.match_individual(9, row[1:], 0)) == 0
+        assert store.match_counts(9, [row[1:]], 0)[0].tolist() == [0]
 
     def test_records_below_the_box_leave_its_edge_free(self):
         history = [(1, 1, (-5, 0, 0)), (2, 1, (10, 0, 0))]
@@ -691,8 +691,7 @@ class TestEnumeration:
         candidates, skipped = ss.enumerate_candidates(store, cfg)
         assert len(candidates) == 20 + 5
         assert skipped == ()
-        for record, candidate in zip(store.records, candidates[:20]):
-            assert tuple(candidate.tolist()) == (record.product_id, *record.levels)
+        assert candidates[:20].tolist() == store.history[:, 1:].tolist()
 
     def test_single_record_store(self, tiny_rows):
         topology, _, leads, raws = tiny_rows
@@ -728,7 +727,7 @@ class TestOracleMinimum:
         expected = ss.FitnessEvaluator(store, cfg).evaluate(result.best_position)
         assert result.best_fitness == expected
         assert result.best_position[0] == 1
-        assert len(store.match_individual(1, result.best_position[1:], 0)) == 0
+        assert store.match_counts(1, [result.best_position[1:]], 0)[0].tolist() == [0]
 
     def test_deterministic(self, store):
         cfg = ss.PsoConfig(match_radius=0)
@@ -757,10 +756,10 @@ class TestOracleMinimum:
         # enumeration includes a candidate seeing all 7 PI=3 periods
         cfg = ss.PsoConfig(match_radius=10**6)
         evaluator = ss.FitnessEvaluator(store, cfg)
-        product_3 = [r for r in store.records if r.product_id == 3]
+        product_3 = store.history[store.history[:, 1] == 3]
         assert len(product_3) == 7
-        record_vector = (3, *product_3[0].levels)
-        tids = {r.tid for r in product_3}
+        record_vector = tuple(product_3[0, 1:].tolist())
+        tids = set(product_3[:, 0].tolist())
         t_stock = sum(sum(lt) for t, *lt in store.lead.tolist() if t in tids)
         expected = evaluator.score(np.array([3]), np.array([7]), np.array([t_stock]))[0]
         assert evaluator.evaluate([float(v) for v in record_vector]) == expected
