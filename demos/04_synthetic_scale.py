@@ -23,9 +23,7 @@ synth_config = ss.SynthConfig(periods=2000, products=8, topology=topology)
 
 with tempfile.TemporaryDirectory() as tmp:
     paths = ss.write_fixtures(synth_config, seed=99, out_dir=Path(tmp))
-    store = ss.load_store(
-        paths["history"], paths["stock_lead"], paths["raw_lead"], topology
-    )
+    store = ss.load_store(*paths.values(), topology)
     print(f"synthesized {store.total_periods} periods, "
           f"{len(store.products)} products, "
           f"{topology.member_count}-member chain")

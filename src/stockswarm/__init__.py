@@ -51,4 +51,4 @@ __all__ = [
 def fixture_paths() -> tuple[Path, Path, Path]:
     """Paths of the bundled history, stock lead-time and raw-material CSVs."""
     data = files(__name__) / "data"
-    return tuple(Path(str(data / name)) for name in history._TABLE_FILES)
+    return tuple(Path(str(data / name)) for _, name, _ in history._TABLES)

@@ -29,7 +29,7 @@ from .config import DEFAULT_SETTINGS, _get_int, build_pso_config, build_topology
 from .domain import Topology
 from .engine import run
 from .errors import ConfigError, LogDomainError, StoreError
-from .history import load_store
+from .history import _TABLES, load_store
 from .oracle import oracle_minimum
 from .recommend import interpret, render_report
 from .synth import SynthConfig, write_fixtures
@@ -42,11 +42,9 @@ def _digest(path: Path) -> str:
 
 
 def _data_paths(args: argparse.Namespace) -> dict[str, Path]:
-    bundled = fixture_paths()
     return {
-        "history": Path(args.history) if args.history else bundled[0],
-        "stock_lead": Path(args.stock_lead) if args.stock_lead else bundled[1],
-        "raw_lead": Path(args.raw_lead) if args.raw_lead else bundled[2],
+        key: bundled if getattr(args, key) is None else Path(getattr(args, key))
+        for (key, _, _), bundled in zip(_TABLES, fixture_paths())
     }
 
 
@@ -74,14 +72,14 @@ def _load(args: argparse.Namespace) -> tuple[dict[str, str], Topology, object, d
     settings = parse_settings(args.config)
     topology = build_topology(settings)
     paths = _data_paths(args)
-    store = load_store(paths["history"], paths["stock_lead"], paths["raw_lead"], topology)
+    store = load_store(*paths.values(), topology)
     return settings, topology, store, paths
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     _, topology, store, paths = _load(args)
-    for name in ("history", "stock_lead", "raw_lead"):
-        print(f"{name}: {paths[name]}")
+    for name, path in paths.items():
+        print(f"{name}: {path}")
     print(f"history rows: {store.total_periods}")
     print(f"stock lead-time rows: {len(store.lead)}")
     print(f"raw-material rows: {len(store.raw)}")
@@ -198,13 +196,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat key = value settings file")
-    common.add_argument("--history", metavar="PATH", help="stock history CSV (default: bundled)")
-    common.add_argument(
-        "--stock-lead", metavar="PATH", help="stock lead-time CSV (default: bundled)"
-    )
-    common.add_argument(
-        "--raw-lead", metavar="PATH", help="raw-material lead-time CSV (default: bundled)"
-    )
+    for key, _, label in _TABLES:
+        common.add_argument(
+            f"--{key.replace('_', '-')}", metavar="PATH", help=f"{label} CSV (default: bundled)"
+        )
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
     common.add_argument(

@@ -92,17 +92,18 @@ class HistoryStore:
         self._topology = topology
         l = topology.member_count
         history_columns, lead_columns, raw_columns = _headers(l)
+        history_label, lead_label, raw_label = (label for _, _, label in _TABLES)
 
-        history, repeat = _table(history, history_columns, 1, "history", [1, 1])
+        history, repeat = _table(history, history_columns, 1, history_label, [1, 1])
         if not len(history):
             raise ParseError("history table holds no records")
         if repeat:
             raise DuplicateTid(f"history TID {repeat[0]} appears more than once")
-        lead, repeat = _table(lead, lead_columns, 1, "stock-lead-time", [1] + [0] * (l - 1))
+        lead, repeat = _table(lead, lead_columns, 1, lead_label, [1] + [0] * (l - 1))
         if repeat:
             raise DuplicateTid(f"lead-time TID {repeat[0]} appears more than once")
         lead_sums = _int64_sums(lead[:, 1:], lead[:, 0], "lead-time TID {} link times")
-        raw, repeat = _table(raw, raw_columns, 2, "raw-material", [1, 1, 0])
+        raw, repeat = _table(raw, raw_columns, 2, raw_label, [1, 1, 0])
         if repeat:
             raise ParseError(f"raw-material row (PI={repeat[0]}, RM={repeat[1]}) duplicated")
         raw_pids, starts = np.unique(raw[:, 0], return_index=True)
@@ -413,8 +414,12 @@ def _key_order(matrix: np.ndarray) -> np.ndarray:
     return np.lexsort(digits) if digits else np.arange(len(matrix))
 
 
-# File names of the three tables, in the order of _headers.
-_TABLE_FILES = ("stock_history.csv", "stock_lead_times.csv", "raw_material_lead_times.csv")
+# Per table, in _headers order: its key (manifest key, CLI dest), file, label.
+_TABLES = (
+    ("history", "stock_history.csv", "history"),
+    ("stock_lead", "stock_lead_times.csv", "stock-lead-time"),
+    ("raw_lead", "raw_material_lead_times.csv", "raw-material"),
+)
 
 
 def _headers(member_count: int) -> tuple[list[str], list[str], list[str]]:
@@ -605,10 +610,6 @@ def load_store(
     or MissingRawMaterial; on success every history TID has lead times and
     every history product has raw-material rows.
     """
-    history, lead, raw = _headers(topology.member_count)
-    return HistoryStore(
-        topology,
-        _read_table(history_path, history, "history"),
-        _read_table(stock_leadtime_path, lead, "stock-lead-time"),
-        _read_table(raw_leadtime_path, raw, "raw-material"),
-    )
+    paths = (history_path, stock_leadtime_path, raw_leadtime_path)
+    labels = (label for _, _, label in _TABLES)
+    return HistoryStore(topology, *map(_read_table, paths, _headers(topology.member_count), labels))

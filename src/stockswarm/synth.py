@@ -16,7 +16,7 @@ import numpy as np
 
 from .domain import INT64_MAX, INT64_MIN, Topology, _integer
 from .errors import ConfigError
-from .history import _TABLE_FILES, _headers
+from .history import _TABLES, _headers
 
 __all__ = ["SynthConfig", "generate", "write_fixtures"]
 
@@ -112,7 +112,7 @@ def write_fixtures(config: SynthConfig, seed: int, out_dir: str | Path) -> dict[
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    paths = {key: out / name for key, name in zip(("history", "stock_lead", "raw_lead"), _TABLE_FILES)}
+    paths = {key: out / name for key, name, _ in _TABLES}
     for path, header, table in zip(paths.values(), _headers(config.topology.member_count), tables):
         row = ",".join(["%d"] * table.shape[1]) + "\n"
         with path.open("w", encoding="utf-8") as file:

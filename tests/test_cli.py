@@ -568,6 +568,21 @@ def test_raw_total_past_int64_exit_2(tmp_path, paths, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "optimize", "oracle"])
+@pytest.mark.parametrize(
+    "option, label",
+    [("--history", "history"), ("--stock-lead", "stock-lead-time"), ("--raw-lead", "raw-material")],
+)
+def test_empty_table_path_exit_2(tmp_path, capsys, command, option, label):
+    """An empty table path names the directory ".", not the bundled table."""
+    out = tmp_path / "o"
+    assert main([command, option, "", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {label} file .: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["optimize", "oracle"])
 def test_jobs_build_no_record_objects(tmp_path, monkeypatch, command):
     built = []
